@@ -20,7 +20,7 @@ from .christoffel import (
     lyndon_factorization,
     standard_by_coefficients,
 )
-from .continuants import cf_value, christoffel_length_cf, continuant, fib, mirror_formula
+from .continuants import cf_terms, cf_value, christoffel_length_cf, continuant, fib, mirror_formula
 from .distribution import (
     BoundReport,
     LengthHistogram,

@@ -23,7 +23,7 @@ import csv
 import json
 import sys
 from math import gcd
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from . import verify as verify_mod
 from .christoffel import (
@@ -33,6 +33,7 @@ from .christoffel import (
     lyndon_factorization,
 )
 from .distribution import histogram, summarize_histogram
+from .fracs import split_frac
 from .palindromes import pal_closure, period_pair, psi, psi_inverse
 from .stern import (
     marked_occurrences,
@@ -69,19 +70,15 @@ def _parse_word(text: str, alphabet: str) -> str:
         if text.strip("01"):
             raise _ParseFailure(f"not a word over {{0,1}}: {text!r}")
         text = text.translate(_FROM_01)
+    return _parsed(check_word, text)
+
+
+def _parsed(parse: Callable[[str], Any], text: str) -> Any:
+    """``parse(text)``, its ValueError turned into a parse failure."""
     try:
-        return check_word(text)
+        return parse(text)
     except ValueError as exc:
         raise _ParseFailure(str(exc)) from None
-
-
-def _parse_raw_frac(text: str) -> tuple[int, int]:
-    """Parse "p/q" without reducing, so coprimality stays checkable."""
-    num_text, sep, den_text = text.partition("/")
-    try:
-        return int(num_text), int(den_text if sep else "1")
-    except ValueError:
-        raise _ParseFailure(f"not a fraction: {text!r}") from None
 
 
 def _render_word(w: str, alphabet: str) -> str:
@@ -222,7 +219,7 @@ def _christoffel_payload(cw: ChristoffelWord, alphabet: str) -> tuple[list[str],
 
 def _cmd_christoffel(args: argparse.Namespace) -> int:
     if args.slope is not None:
-        p, q = _parse_raw_frac(args.slope)
+        p, q = _parsed(split_frac, args.slope)
         cw = christoffel_by_slope(p, q)
     else:
         cw = christoffel_by_directive(_parse_word(args.directive, args.alphabet))
@@ -291,7 +288,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
         print("give exactly one of a path word or --fraction", file=sys.stderr)
         return EXIT_PARSE
     if args.fraction is not None:
-        p, q = _parse_raw_frac(args.fraction)
+        p, q = _parsed(split_frac, args.fraction)
         if gcd(p, q) != 1:
             print(f"fraction not irreducible: {p}/{q}", file=sys.stderr)
             return EXIT_PRECONDITION

@@ -39,6 +39,22 @@ def cf_value(coeffs: list[int]) -> Frac:
     return frac(continuant(coeffs), den)
 
 
+def cf_terms(p: int, q: int) -> list[int]:
+    """Continued-fraction expansion [c0; c1, ..., cn] of p/q, q > 0, by
+    Euclid's algorithm; the inverse of :func:`cf_value`.
+
+    >>> cf_terms(4, 7)
+    [0, 1, 1, 3]
+    """
+    if q <= 0:
+        raise ValueError(f"continued fractions need a positive denominator: {p}/{q}")
+    terms = []
+    while q:
+        terms.append(p // q)
+        p, q = q, p % q
+    return terms
+
+
 def mirror_formula(v: str) -> tuple[Frac, Frac]:
     """(Stern-Brocot, Raney) labels of ``v`` read off its integral
     representation (a0, ..., an): the Stern-Brocot number is
@@ -88,6 +104,7 @@ def fib(n: int) -> int:
 __all__ = [
     "continuant",
     "cf_value",
+    "cf_terms",
     "mirror_formula",
     "christoffel_length_cf",
     "fib",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .continuants import fib
+from .continuants import cf_terms, fib
 from .words import BudgetError, complement
 
 #: Default bound on the order accepted by the exhaustive enumerations.
@@ -157,27 +157,13 @@ def totient(n: int) -> int:
     return result
 
 
-def _directive_depth(p: int, q: int) -> int:
-    # length of the directive whose period pair is (p, q), by run-collapsed
-    # subtractive descent to (1, 1)
-    depth = 0
-    while p != q:
-        if p < q:
-            k = (q - 1) // p
-            q -= k * p
-        else:
-            k = (p - 1) // q
-            p -= k * q
-        depth += k
-    return depth
-
-
 def counts_for_length(n: int) -> dict[int, int]:
     """C_k(n) for every order k, computed per length instead of per order.
 
     Each order-k Christoffel word of length n corresponds to a coprime
-    period pair (p, n - p), and the order is the descent depth of that
-    pair, so one pass over the phi(n) residues settles every k at once.
+    period pair (p, n - p), and the order is the tree depth of p/(n - p):
+    the sum of its continued-fraction terms, less one.  So one pass over
+    the phi(n) residues settles every k at once.
     The values sum to Euler's totient of n.
     """
     if n < 2:
@@ -185,7 +171,7 @@ def counts_for_length(n: int) -> dict[int, int]:
     counts: dict[int, int] = {}
     for p in range(1, n):
         if gcd(p, n) == 1:
-            k = _directive_depth(p, n - p)
+            k = sum(cf_terms(p, n - p)) - 1
             counts[k] = counts.get(k, 0) + 1
     return dict(sorted(counts.items()))
 

@@ -39,12 +39,15 @@ def frac(num: int, den: int) -> Frac:
     return Frac(num // g, den // g)
 
 
-def parse_frac(text: str) -> Frac:
-    """Parse "p/q" (or a bare integer "p") into a fraction."""
-    num_text, _, den_text = text.partition("/")
+def split_frac(text: str) -> tuple[int, int]:
+    """Unreduced (p, q) of "p/q", or (p, 1) of a bare integer "p"."""
+    num_text, sep, den_text = text.partition("/")
     try:
-        num = int(num_text)
-        den = int(den_text) if den_text else 1
+        return int(num_text), int(den_text if sep else "1")
     except ValueError:
         raise ValueError(f"not a fraction: {text!r}") from None
-    return frac(num, den)
+
+
+def parse_frac(text: str) -> Frac:
+    """Parse "p/q" (or a bare integer "p") into a reduced fraction."""
+    return frac(*split_frac(text))

@@ -6,9 +6,15 @@ next directive letter and closing to the shortest palindrome with that
 prefix.  Its images are exactly the central words: the palindromic
 prefixes of characteristic Sturmian words, or equivalently the words
 with two coprime periods p, q and length p + q - 2.
+
+Images are built once, on bytes: one loop grows a ``bytearray`` by the
+current minimal period and serves psi, psi_prefix and psi_inverse.
 """
 
 from __future__ import annotations
+
+from itertools import chain, cycle, takewhile
+from typing import Iterable, Iterator
 
 from .words import BudgetError, complement, is_palindrome
 
@@ -54,6 +60,24 @@ def period_pair(v: str) -> tuple[int, int]:
     return pa, pb
 
 
+def _grow(image: bytearray, letters: Iterable[str]) -> None:
+    # the one growth loop: extends the empty ``image`` by the closure of
+    # each letter in turn, that is by the new minimal period p.  Letters
+    # are drawn lazily, so a source may read ``image`` to choose or stop.
+    pa = pb = 1
+    for x in letters:
+        if x == "a":
+            p, pb = pa, pa + pb
+        else:
+            p, pa = pb, pa + pb
+        n = len(image)
+        if p == n + 1:  # x has not occurred yet: the closure is w x w
+            image.append(ord(x))
+            image += image[:n]
+        else:  # the new letters repeat with period p
+            image += image[n - p :]
+
+
 def psi(v: str, max_length: int | None = PSI_LENGTH_BUDGET) -> str:
     """Iterated palindromic closure of the directive word ``v``.
 
@@ -73,22 +97,9 @@ def psi(v: str, max_length: int | None = PSI_LENGTH_BUDGET) -> str:
                 f"palindromization image has {pa + pb - 2} letters, "
                 f"budget is {max_length}"
             )
-    w: list[str] = []
-    pa = pb = 1
-    for x in v:
-        p = pa if x == "a" else pb
-        n = len(w)
-        if p == n + 1:
-            # x has not occurred yet: the closure is w x w
-            w = w + [x] + w
-        else:
-            # new letters repeat with the fresh minimal period p
-            w.extend(w[n - p : n])
-        if x == "a":
-            pb += pa
-        else:
-            pa += pb
-    return "".join(w)
+    image = bytearray()
+    _grow(image, v)
+    return image.decode()
 
 
 def psi_prefix(preperiod: str, period: str, n: int) -> str:
@@ -102,52 +113,34 @@ def psi_prefix(preperiod: str, period: str, n: int) -> str:
         raise ValueError("prefix length must be non-negative")
     if not period:
         raise ValueError("period word must be non-empty")
-    w: list[str] = []
-    pa = pb = 1
-    i = 0
-    while len(w) < n:
-        x = preperiod[i] if i < len(preperiod) else period[(i - len(preperiod)) % len(period)]
-        i += 1
-        p = pa if x == "a" else pb
-        if p == len(w) + 1:
-            w = w + [x] + w
-        else:
-            w.extend(w[len(w) - p : len(w)])
-        if x == "a":
-            pb += pa
-        else:
-            pa += pb
-    return "".join(w[:n])
+    image = bytearray()
+    directive = chain(preperiod, cycle(period))
+    _grow(image, takewhile(lambda _: len(image) < n, directive))
+    return image[:n].decode()
 
 
 def psi_inverse(w: str) -> str | None:
     """Directive word of a central word, or None when ``w`` is not central.
 
     Every palindromic prefix of a central word is itself the image of a
-    directive prefix, so the directive is read off letter by letter: each
-    directive letter is the letter of ``w`` right after the current
-    palindromic prefix, whose successor length follows from the period
-    recurrence.  A final rebuild-and-compare rejects non-central input.
+    directive prefix, so the directive is read off while the image
+    grows: each directive letter is the letter of ``w`` right after the
+    image built so far.  The input is central exactly when the finished
+    image equals ``w``.
 
     >>> psi_inverse("abaaba")
     'aba'
     """
+    image = bytearray()
     directive: list[str] = []
-    pa = pb = 1
-    pos = 0
-    while pos < len(w):
-        x = w[pos]
-        directive.append(x)
-        if x == "a":
-            pos += pa
-            pb += pa
-        else:
-            pos += pb
-            pa += pb
-    if pos != len(w):
-        return None
-    v = "".join(directive)
-    return v if psi(v, max_length=None) == w else None
+
+    def reading() -> Iterator[str]:
+        while len(image) < len(w):
+            directive.append(w[len(image)])
+            yield directive[-1]
+
+    _grow(image, reading())
+    return "".join(directive) if image == w.encode() else None
 
 
 def mu(v: str, w: str) -> str:

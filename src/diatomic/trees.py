@@ -11,8 +11,10 @@ of ancestors (a mediant-walk oracle lives in the test suite).
 
 from __future__ import annotations
 
+from itertools import cycle
 from typing import NamedTuple
 
+from .continuants import cf_terms
 from .fracs import Frac, frac
 from .palindromes import period_pair
 from .words import decode, encode
@@ -78,26 +80,20 @@ def path_of_fraction(f: Frac | tuple[int, int], flavor: str = "raney") -> str:
     """Path word of the unique node labeled ``f`` in the chosen tree.
 
     Runs the child rules backwards: from p/q the parent is p/(q-p) or
-    (p-q)/q, and a run of identical moves collapses into one integer
-    division, so the cost is the number of continued-fraction terms of
-    f rather than the tree depth.
+    (p-q)/q, and a run of identical moves is one continued-fraction
+    term of f, so the cost is the number of terms rather than the tree
+    depth.
     """
     if flavor not in ("raney", "sternbrocot"):
         raise ValueError(f"unknown tree flavor: {flavor!r}")
     p, q = frac(*f)
     if p <= 0 or q <= 0:
         raise ValueError(f"only positive fractions label the tree: {p}/{q}")
-    climb: list[str] = []
-    while p != q:
-        if p < q:
-            k = (q - 1) // p
-            climb.append("a" * k)
-            q -= k * p
-        else:
-            k = (p - 1) // q
-            climb.append("b" * k)
-            p -= k * q
-    up = "".join(climb)
+    # from [c0; c1, ..., cn] the climb takes c0 steps (p-q)/q, then c1
+    # steps p/(q-p), and so on, ending at 1/1 one step early
+    terms = cf_terms(p, q)
+    terms[-1] -= 1
+    up = "".join(x * c for x, c in zip(cycle("ba"), terms))
     # climbing visits the letters leaf-to-root: that order is the
     # Stern-Brocot path, its reversal the Raney path
     return up if flavor == "sternbrocot" else up[::-1]

@@ -48,6 +48,12 @@ def test_parse_error(capsys):
     assert code == 2 and err
 
 
+def test_fraction_without_denominator(capsys):
+    for argv in (("christoffel", "--slope", "3/"), ("tree", "--fraction", "3/")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "not a fraction: '3/'\n")
+
+
 def test_alphabet_01(capsys):
     code, out, _ = run_cli(capsys, "--alphabet", "01", "psi", "010")
     assert code == 0

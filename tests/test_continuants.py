@@ -1,12 +1,19 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import words_up_to
-from diatomic.continuants import cf_value, christoffel_length_cf, continuant, fib, mirror_formula
-from diatomic.fracs import Frac
+from diatomic.continuants import (
+    cf_terms,
+    cf_value,
+    christoffel_length_cf,
+    continuant,
+    fib,
+    mirror_formula,
+)
+from diatomic.fracs import Frac, frac
 from diatomic.palindromes import min_period_central, period_pair
 from diatomic.trees import raney, stern_brocot
 
@@ -104,3 +111,26 @@ def test_fib_values():
 def test_ones_continuant_is_fibonacci():
     for n in range(31):
         assert continuant([1] * n) == fib(n - 1)
+
+
+@given(
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.integers(min_value=1, max_value=10**30),
+)
+@example(7, 1)
+@example(0, 5)
+@example(3, 10)
+@example(1, 1)
+def test_cf_terms_inverts_cf_value(p, q):
+    terms = cf_terms(p, q)
+    assert cf_value(terms) == frac(p, q)
+    assert all(c > 0 for c in terms[1:])
+    assert len(terms) == 1 or terms[-1] > 1
+
+
+def test_cf_terms_examples():
+    assert cf_terms(4, 7) == [0, 1, 1, 3]
+    assert cf_terms(5, 1) == [5]
+    assert cf_terms(-3, 2) == [-2, 2]
+    with pytest.raises(ValueError):
+        cf_terms(1, 0)

@@ -26,10 +26,25 @@ def brute_closure(w):
     raise AssertionError
 
 
-def naive_psi(v):
+def kmp_closure(w):
+    """Shortest palindrome with prefix w.  The longest palindromic suffix
+    of w is the longest border of reverse(w) + "#" + w, read off the
+    Knuth-Morris-Pratt prefix function in linear time."""
+    s = w[::-1] + "#" + w
+    border = [0] * len(s)
+    for i in range(1, len(s)):
+        k = border[i - 1]
+        while k and s[i] != s[k]:
+            k = border[k - 1]
+        border[i] = k + (s[i] == s[k])
+    cut = len(w) - border[-1]
+    return w + w[:cut][::-1]
+
+
+def naive_psi(v, closure=brute_closure):
     w = ""
     for x in v:
-        w = brute_closure(w + x)
+        w = closure(w + x)
     return w
 
 
@@ -45,6 +60,7 @@ def test_pal_closure_examples():
 def test_pal_closure_brute(w):
     closed = pal_closure(w)
     assert closed == brute_closure(w)
+    assert kmp_closure(w) == closed
     assert is_palindrome(closed)
     assert closed.startswith(w)
 
@@ -71,7 +87,7 @@ def test_psi_budget():
     with pytest.raises(BudgetError):
         psi("ab" * 40, max_length=10**6)
     # the unbudgeted form still works on moderate directives
-    assert len(psi("ab" * 12, max_length=None)) == len(naive_psi("ab" * 12))
+    assert len(psi("ab" * 12, max_length=None)) == len(naive_psi("ab" * 12, kmp_closure))
 
 
 def test_psi_prefix_fibonacci():
@@ -81,6 +97,11 @@ def test_psi_prefix_fibonacci():
     assert psi_prefix("", "ab", len(target)) == target
     assert psi_prefix("", "ab", 0) == ""
     assert psi_prefix("ba", "ab", 7) == psi("baabab")[:7]
+    # preperiods longer than n, and lengths between consecutive images
+    for pre, per in (("abbab", "ab"), ("bbbbbbbb", "a"), ("aab", "bba")):
+        full = psi(pre + per * 6)
+        for n in range(len(full) // 2):
+            assert psi_prefix(pre, per, n) == full[:n]
 
 
 def test_psi_prefix_errors():
@@ -96,6 +117,13 @@ def test_psi_inverse_examples():
     assert psi_inverse("ab") is None
     assert psi_inverse("ba") is None
     assert psi_inverse("abba") is None  # palindrome but not central
+
+
+def test_psi_inverse_all_short_words():
+    # exactly the images of psi are central; every other word is rejected
+    directive_of = {psi(v): v for v in words_up_to(12)}
+    for w in words_up_to(12):
+        assert psi_inverse(w) == directive_of.get(w)
 
 
 def test_psi_inverse_roundtrip():

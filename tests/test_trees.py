@@ -125,6 +125,10 @@ def test_path_of_fraction_examples():
     assert path_of_fraction(Frac(1, 1)) == ""
     assert path_of_fraction(Frac(3, 2)) == "ab"
     assert path_of_fraction(Frac(4, 7), "sternbrocot") == "abaa"
+    for n in range(1, 20):
+        for flavor in ("raney", "sternbrocot"):
+            assert path_of_fraction((n, 1), flavor) == "b" * (n - 1)
+            assert path_of_fraction((1, n), flavor) == "a" * (n - 1)
     with pytest.raises(ValueError):
         path_of_fraction(Frac(0, 1))
     with pytest.raises(ValueError):
@@ -153,3 +157,5 @@ def test_frac_helpers():
         frac(0, 0)
     with pytest.raises(ValueError):
         parse_frac("x/y")
+    with pytest.raises(ValueError, match="not a fraction: '3/'"):
+        parse_frac("3/")
