@@ -338,13 +338,19 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     results = verify_mod.run_checks(args.max_k, args.max_n)
-    failures = 0
-    for res in results:
-        status = "PASS" if res.ok else "FAIL"
-        failures += not res.ok
-        print(f"{status}  {res.name}  ({res.detail})")
-    print(f"{len(results) - failures}/{len(results)} checks passed")
-    return EXIT_OK if failures == 0 else EXIT_DISAGREE
+    passed = sum(res.ok for res in results)
+    lines = [
+        f"{'PASS' if res.ok else 'FAIL'}  {res.name}  ({res.detail})" for res in results
+    ]
+    lines.append(f"{passed}/{len(results)} checks passed")
+    payload = {
+        "checks": [res._asdict() for res in results],
+        "passed": passed,
+        "total": len(results),
+    }
+    csv_rows = [[res.name, str(res.ok).lower(), res.detail] for res in results]
+    _emit(args, lines, payload, csv_rows, ["name", "ok", "detail"])
+    return EXIT_OK if passed == len(results) else EXIT_DISAGREE
 
 
 _HANDLERS = {

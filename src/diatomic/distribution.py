@@ -5,20 +5,35 @@ word, so order k contributes 2^k words.  Their lengths live between
 k + 2 (constant directives) and the Fibonacci number F(k+1) (alternating
 directives), total mass 2 * 3^k, with structured gaps just above the
 minimum and just below the maximum.
+
+Both exhaustive enumerations read the period pairs of a whole tree level
+as two lists.  One level doubles the previous one: the ``a`` child of
+(p_a, p_b) is (p_a, p_a + p_b) and the ``b`` child is (p_a + p_b, p_b),
+which is the row doubling s(2n) = s(n), s(2n+1) = s(n) + s(n+1) of
+Stern's sequence.  The length below a node is linear in the node's
+pair, so ``histogram`` builds one block of coefficient lists and reuses
+it under every root of a shallower level; complement swaps the two
+periods, so only the half below the ``a`` child is enumerated.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
+from operator import add, mul
 
 from .continuants import cf_terms, fib
-from .words import BudgetError, complement
+from .words import BudgetError, complement, decode
 
 #: Default bound on the order accepted by the exhaustive enumerations.
 MAX_ENUMERATED_ORDER = 26
+
+#: Depth of the coefficient block ``histogram`` reuses under every root,
+#: so its temporaries hold 2^12 pairs whatever the order.
+_BLOCK_DEPTH = 12
 
 
 @dataclass(frozen=True)
@@ -66,29 +81,44 @@ def _check_order(k: int, max_order: int) -> None:
         )
 
 
+def _descendants(m: int, pa: int = 1, pb: int = 1) -> tuple[list[int], list[int]]:
+    """Period pairs of the 2^m depth-m descendants of (pa, pb), as the
+    list of a-periods and the list of b-periods.
+
+    Bit j of an index is letter j of the path below (pa, pb), with a = 0.
+
+    >>> _descendants(2)
+    ([1, 2, 3, 3], [3, 3, 2, 1])
+    """
+    xs, ys = [pa], [pb]
+    for _ in range(m):
+        ss = list(map(add, xs, ys))
+        xs, ys = xs + ss, ss + ys
+    return xs, ys
+
+
 def histogram(k: int, max_order: int = MAX_ENUMERATED_ORDER) -> LengthHistogram:
     """Length histogram of all 2^k order-k Christoffel words.
 
-    Walks the directive tree once, carrying the period pair, so each of
-    the 2^k leaves costs O(1); the result does not depend on traversal
-    order.
+    Blocked sweep: the length below a node (pa, pb) along a path of
+    depth m is pa * X + pb * Y for a pair (X, Y) that depends on the
+    path alone, so the 2^m pairs of one coefficient block serve every
+    root of the level m levels up.  Only the words below the ``a`` child
+    (1, 2) are enumerated; complement swaps the two periods, so every
+    count is then doubled.
 
     >>> histogram(3).counts
     {5: 2, 7: 4, 8: 2}
     """
     _check_order(k, max_order)
-    counts: dict[int, int] = {}
-
-    def walk(depth: int, pa: int, pb: int) -> None:
-        if depth == k:
-            n = pa + pb
-            counts[n] = counts.get(n, 0) + 1
-            return
-        walk(depth + 1, pa, pa + pb)
-        walk(depth + 1, pa + pb, pb)
-
-    walk(0, 1, 1)
-    return LengthHistogram(k, dict(sorted(counts.items())))
+    if k == 0:
+        return LengthHistogram(0, {2: 1})
+    m = min(k - 1, _BLOCK_DEPTH)
+    xs, ys = _descendants(m)
+    counts: Counter[int] = Counter()
+    for pa, pb in zip(*_descendants(k - 1 - m, 1, 2)):
+        counts.update(map(add, map(mul, xs, repeat(pa)), map(mul, ys, repeat(pb))))
+    return LengthHistogram(k, {n: 2 * c for n, c in sorted(counts.items())})
 
 
 def summarize_histogram(h: LengthHistogram) -> OrderSummary:
@@ -219,41 +249,39 @@ def bound_report(k: int, max_order: int = MAX_ENUMERATED_ORDER) -> BoundReport:
         raise ValueError("bound checks need order k >= 3")
     _check_order(k, max_order)
 
-    lengths: dict[str, int] = {}
-    for letters in itertools.product("ab", repeat=k):
-        pa = pb = 1
-        for x in letters:
-            if x == "a":
-                pb += pa
-            else:
-                pa += pb
-        lengths["".join(letters)] = pa + pb
-
+    lengths = list(map(add, *_descendants(k)))
     lo, top = k + 2, fib(k + 1)
+    floor = 2 * k + 1
     ceiling = top - fib(k - 4)
+    # every predicate but the last two reads only lengths outside
+    # (floor, ceiling), so only those directives are spelled out
+    extremal = {
+        decode(i).rjust(k, "a")[::-1]: n
+        for i, n in enumerate(lengths)
+        if not floor < n < ceiling
+    }
     alternating_pair = {alternating(k, "a"), alternating(k, "b")}
     constants = {"a" * k, "b" * k}
 
-    least_ok = all(n >= lo for n in lengths.values()) and (
-        {v for v, n in lengths.items() if n == lo} == constants
+    least_ok = all(n >= lo for n in extremal.values()) and (
+        {v for v, n in extremal.items() if n == lo} == constants
     )
-    floor = 2 * k + 1
     nonconstant_floor_ok = all(
-        n >= floor for v, n in lengths.items() if v not in constants
+        n >= floor for v, n in extremal.items() if v not in constants
     )
-    floor_equality_ok = {v for v, n in lengths.items() if n == floor} == word_class(
+    floor_equality_ok = {v for v, n in extremal.items() if n == floor} == word_class(
         "a" + "b" * (k - 1)
     )
-    greatest_ok = all(n <= top for n in lengths.values()) and (
-        {v for v, n in lengths.items() if n == top} == alternating_pair
+    greatest_ok = all(n <= top for n in extremal.values()) and (
+        {v for v, n in extremal.items() if n == top} == alternating_pair
     )
     nonalternating_ceiling_ok = all(
-        n <= ceiling for v, n in lengths.items() if v not in alternating_pair
+        n <= ceiling for v, n in extremal.items() if v not in alternating_pair
     )
-    ceiling_equality_ok = {v for v, n in lengths.items() if n == ceiling} == word_class(
+    ceiling_equality_ok = {v for v, n in extremal.items() if n == ceiling} == word_class(
         almost_alternating(k)
     )
-    support = set(lengths.values())
+    support = set(lengths)
     consecutive_ok = {3 * k - 2, 3 * k - 1, 5 * k - 8, 5 * k - 7} <= support
     missing = sum(1 for n in range(lo, top + 1) if n not in support)
     missing_floor_ok = missing >= fib(k - 4) + k - 3

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterator, NamedTuple
 
 from .christoffel import christoffel_by_slope, directive_of, lyndon_factorization
@@ -288,16 +289,39 @@ def check_integral_continuant(max_k: int, max_n: int) -> CheckResult:
     )
 
 
+class _OrderFigures(NamedTuple):
+    """The few figures of one order's histogram that the two histogram
+    checks read; the histogram itself is dropped once they are taken."""
+
+    mass: int
+    weighted_mass: int
+    shortest: int
+    longest: int
+    max_count: int
+    argmax: frozenset[int]
+    missing_count: int
+
+
+@cache
+def _order(k: int) -> _OrderFigures:
+    h = histogram(k)
+    s = summarize_histogram(h)
+    support = h.support
+    return _OrderFigures(
+        h.mass, h.weighted_mass, support[0], support[-1],
+        s.max_count, frozenset(s.argmax), s.missing_count,
+    )
+
+
 def check_histograms(max_k: int, max_n: int) -> CheckResult:
     top = min(max_k, 22)
     ok = True
     for k in range(top + 1):
-        h = histogram(k)
-        if h.mass != 2**k or h.weighted_mass != 2 * 3**k:
+        f = _order(k)
+        if f.mass != 2**k or f.weighted_mass != 2 * 3**k:
             ok = False
             break
-        support = h.support
-        if support and (support[0] < k + 2 or support[-1] > fib(k + 1)):
+        if f.shortest < k + 2 or f.longest > fib(k + 1):
             ok = False
             break
     return CheckResult(
@@ -311,12 +335,12 @@ def check_tables(max_k: int, max_n: int) -> CheckResult:
     top = min(max_k, 22)
     ok = True
     for k in range(1, top + 1):
-        s = summarize_histogram(histogram(k))
+        f = _order(k)
         expected_max, listed = MAX_COUNT_TABLE[k]
-        if s.max_count != expected_max or not set(listed) <= set(s.argmax):
+        if f.max_count != expected_max or not set(listed) <= f.argmax:
             ok = False
             break
-        if k <= len(MISSING_COUNT_TABLE) and s.missing_count != MISSING_COUNT_TABLE[k - 1]:
+        if k <= len(MISSING_COUNT_TABLE) and f.missing_count != MISSING_COUNT_TABLE[k - 1]:
             ok = False
             break
     return CheckResult(
@@ -387,5 +411,10 @@ ALL_CHECKS: list[Callable[[int, int], CheckResult]] = [
 
 
 def run_checks(max_k: int = 10, max_n: int = 1024) -> list[CheckResult]:
-    """Run the whole suite with the given exhaustive bounds."""
+    """Run the whole suite with the given exhaustive bounds.
+
+    Each order's histogram is built once per run, for the two checks
+    that read it.
+    """
+    _order.cache_clear()
     return [check(max_k, max_n) for check in ALL_CHECKS]

@@ -210,18 +210,35 @@ def subword_occurrences(
     predicted = subword_binomial(w, u)
     if predicted > cap:
         raise BudgetError(f"{predicted} occurrences exceed the cap of {cap}")
-    m = len(u)
+    n, m = len(w), len(u)
+    if m == 0:
+        return [()]
     out: list[tuple[int, ...]] = []
-
-    def grow(prefix: tuple[int, ...], start: int, j: int) -> None:
-        if j == m:
-            out.append(prefix)
-            return
-        for i in range(start, len(w) - (m - j) + 1):
-            if w[i] == u[j]:
-                grow(prefix + (i + 1,), i + 1, j + 1)
-
-    grow((), 0, 0)
+    # depth-first with an explicit stack: candidates[j] runs over the
+    # positions still open for letter j, chosen[:j] holds letters 0..j-1
+    chosen: list[int] = []
+    candidates = [iter(range(n - m + 1))]
+    while candidates:
+        j = len(candidates) - 1
+        c = u[j]
+        if j + 1 == m:
+            # the last letter: each match left completes one occurrence
+            prefix = tuple(chosen)
+            out.extend([prefix + (i + 1,) for i in candidates[j] if w[i] == c])
+        else:
+            for i in candidates[j]:
+                if w[i] == c:
+                    break
+            else:
+                i = n
+            if i < n:
+                chosen.append(i + 1)
+                candidates.append(iter(range(i + 1, n - m + j + 2)))
+                continue
+        # letter j has no position left: back up to letter j - 1
+        candidates.pop()
+        if chosen:
+            chosen.pop()
     return out
 
 

@@ -227,6 +227,44 @@ def test_verify_fast(capsys):
     assert lines[-1].endswith("checks passed")
 
 
+def test_verify_json(capsys):
+    code, out, _ = run_cli(capsys, "--format", "json", "verify", "--max-k", "4", "--max-n", "64")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] == payload["total"] == len(payload["checks"]) >= 21
+    first = payload["checks"][0]
+    assert first == {"name": "stern-prefix-values", "ok": True, "detail": "first 33 values"}
+
+
+def test_verify_csv(capsys):
+    code, out, _ = run_cli(capsys, "--format", "csv", "verify", "--max-k", "4", "--max-n", "64")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "name,ok,detail"
+    assert lines[1] == "stern-prefix-values,true,first 33 values"
+    assert len(lines) >= 22 and all(",true," in line for line in lines[1:])
+
+
+def test_verify_failure_in_every_format(capsys, monkeypatch):
+    from diatomic import verify
+
+    def broken(max_k, max_n):
+        return verify.CheckResult("broken", False, "always fails")
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", [verify.check_stern_prefix, broken])
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 6
+    assert out.splitlines()[1:] == ["FAIL  broken  (always fails)", "1/2 checks passed"]
+    code, out, _ = run_cli(capsys, "--format", "json", "verify")
+    assert code == 6
+    payload = json.loads(out)
+    assert (payload["passed"], payload["total"]) == (1, 2)
+    assert payload["checks"][1] == {"name": "broken", "ok": False, "detail": "always fails"}
+    code, out, _ = run_cli(capsys, "--format", "csv", "verify")
+    assert code == 6
+    assert out.splitlines()[2] == "broken,false,always fails"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "diatomic", "stern", "23"],

@@ -5,6 +5,8 @@ import pytest
 from conftest import words_of_length
 from diatomic.continuants import fib
 from diatomic.distribution import (
+    BoundReport,
+    _descendants,
     almost_alternating,
     alternating,
     bound_report,
@@ -64,8 +66,18 @@ def test_histogram_matches_directive_enumeration():
 
 
 def test_histogram_matches_stern_rows():
-    for k in range(13):
-        assert histogram(k).counts == dict(sorted(histogram_via_stern_rows(k).items()))
+    # key order included: the counts come sorted by length
+    for k in range(17):
+        expected = sorted(histogram_via_stern_rows(k).items())
+        assert list(histogram(k).counts.items()) == expected
+
+
+def test_descendants_index_bits_spell_directives():
+    for k in range(9):
+        xs, ys = _descendants(k)
+        pairs = [period_pair("".join(reversed(v))) for v in words_of_length(k)]
+        assert list(zip(xs, ys)) == pairs
+    assert _descendants(1, 2, 3) == ([2, 5], [5, 3])
 
 
 def test_histogram_masses():
@@ -180,6 +192,36 @@ def test_bound_report():
         assert bound_report(k).passed
     with pytest.raises(ValueError):
         bound_report(2)
+
+
+def brute_bound_report(k):
+    """Every bound_report predicate, over all 2^k directives spelled out."""
+    lengths = {v: sum(period_pair(v)) for v in words_of_length(k)}
+    lo, top = k + 2, fib(k + 1)
+    floor, ceiling = 2 * k + 1, fib(k + 1) - fib(k - 4)
+    constants = {"a" * k, "b" * k}
+    alternating_pair = {alternating(k, "a"), alternating(k, "b")}
+
+    def hits(n):
+        return {v for v, m in lengths.items() if m == n}
+
+    support = set(lengths.values())
+    return BoundReport(
+        k,
+        min(support) >= lo and hits(lo) == constants,
+        all(n >= floor for v, n in lengths.items() if v not in constants),
+        hits(floor) == word_class("a" + "b" * (k - 1)),
+        max(support) <= top and hits(top) == alternating_pair,
+        all(n <= ceiling for v, n in lengths.items() if v not in alternating_pair),
+        hits(ceiling) == word_class(almost_alternating(k)),
+        {3 * k - 2, 3 * k - 1, 5 * k - 8, 5 * k - 7} <= support,
+        sum(1 for n in range(lo, top + 1) if n not in support) >= fib(k - 4) + k - 3,
+    )
+
+
+def test_bound_report_matches_brute_force():
+    for k in range(3, 11):
+        assert bound_report(k) == brute_bound_report(k)
 
 
 def test_bound_report_k4_equality_class():

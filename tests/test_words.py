@@ -172,6 +172,12 @@ def test_subword_counts_match_enumeration(w, u):
     assert subword_occurrences(w, u) == brute
 
 
+def test_subword_occurrences_long_pattern():
+    # one occurrence, far under the cap, but 3000 letters deep
+    w = "ab" * 1500
+    assert subword_occurrences(w, w) == [tuple(range(1, 3001))]
+
+
 def test_subword_occurrence_cap():
     with pytest.raises(BudgetError):
         subword_occurrences("ab" * 30, "ab", cap=10)
