@@ -5,6 +5,7 @@ replays the cross-route identity suite.  Exit codes are fixed so the
 tool can be scripted:
 
     0  success
+    1  stdout was closed by its reader before the output ended
     2  parse error (words, fractions, integers, flag combinations)
     3  input is not in the requested class (not central / not Christoffel)
     4  a size budget would be exceeded
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from math import gcd
 from typing import Any, Callable, Sequence
@@ -46,6 +48,7 @@ from .trees import path_of_fraction, tree_node
 from .words import BudgetError, check_word
 
 EXIT_OK = 0
+EXIT_CLOSED_PIPE = 1
 EXIT_PARSE = 2
 EXIT_NOT_IN_CLASS = 3
 EXIT_BUDGET = 4
@@ -385,7 +388,15 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (``| head``); send the interpreter's final
+        # flush to the null device so it cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

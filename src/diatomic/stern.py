@@ -16,7 +16,6 @@ lengths.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,46 +23,24 @@ from .continuants import continuant
 from .palindromes import period_pair
 from .words import BudgetError, complement, decode, encode, integral_rep, plus_prefix
 
-#: Stern values with arguments below this limit are memoized; larger
-#: arguments fall back to an uncached logarithmic bit descent.
-STERN_CACHE_LIMIT = 1 << 20
-
-_stern_cache: dict[int, int] = {0: 0, 1: 1}
-_stern_lock = threading.Lock()
-
 
 def stern(n: int) -> int:
-    """s(n) by the memoized halving recurrence.
+    """s(n) by the halving recurrence, read from the top binary digit down.
+
+    The pair (s(m), s(m+1)) starts at m = 0; each digit d of n moves it
+    to m' = 2m + d by s(2m) = s(m) and s(2m+1) = s(m) + s(m+1).
 
     >>> [stern(n) for n in range(12)]
     [0, 1, 1, 2, 1, 3, 2, 3, 1, 4, 3, 5]
     """
     if n < 0:
         raise ValueError("Stern's sequence is indexed by non-negative integers")
-    if n >= STERN_CACHE_LIMIT:
-        return _stern_descent(n)
-    return _stern_cached(n)
-
-
-def _stern_cached(n: int) -> int:
-    cached = _stern_cache.get(n)
-    if cached is not None:
-        return cached
-    half, odd = divmod(n, 2)
-    value = _stern_cached(half) + (_stern_cached(half + 1) if odd else 0)
-    with _stern_lock:
-        _stern_cache[n] = value
-    return value
-
-
-def _stern_descent(n: int) -> int:
-    # pair (s(m), s(m+1)) driven along the bits of n below the top one
-    u, v = 1, 1
-    for i in range(n.bit_length() - 2, -1, -1):
-        if (n >> i) & 1:
-            u = u + v
+    u, v = 0, 1
+    for digit in format(n, "b"):
+        if digit == "1":
+            u += v
         else:
-            v = u + v
+            v += u
     return u
 
 

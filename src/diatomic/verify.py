@@ -17,13 +17,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .christoffel import christoffel_by_slope, directive_of, lyndon_factorization
 from .continuants import christoffel_length_cf, fib, mirror_formula
-from .distribution import (
-    bound_report,
-    counts_for_length,
-    histogram,
-    summarize_histogram,
-    totient,
-)
+from .distribution import bound_report, histogram, summarize_histogram, totient_identity_check
 from .fracs import frac
 from .palindromes import min_period_central, mu, period_pair, psi, psi_inverse, psi_prefix
 from .stern import (
@@ -356,9 +350,7 @@ def check_bounds(max_k: int, max_n: int) -> CheckResult:
 
 def check_totient(max_k: int, max_n: int) -> CheckResult:
     limit = min(max_n, 300)
-    ok = all(
-        sum(counts_for_length(n).values()) == totient(n) for n in range(2, limit + 1)
-    )
+    ok = totient_identity_check(limit)
     return CheckResult("totient-identity", ok, f"order sums equal phi(n) for n <= {limit}")
 
 

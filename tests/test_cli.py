@@ -273,3 +273,18 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "7\n"
+
+
+def test_closed_stdout_pipe_ends_without_traceback():
+    # dist 20 prints about 250 kB, more than a pipe holds, so the reader's
+    # close is certain to reach the CLI while it is still writing
+    with subprocess.Popen(
+        [sys.executable, "-m", "diatomic", "dist", "20"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"k: 20\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert stderr == ""  # no traceback, and no complaint from the final flush

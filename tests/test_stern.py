@@ -2,12 +2,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import words_up_to
 from diatomic.continuants import cf_value
 from diatomic.palindromes import min_period_central, period_pair, psi
 from diatomic.stern import (
-    STERN_CACHE_LIMIT,
     delta_expansion,
     factor_decomposition,
     initial_subword_count,
@@ -51,8 +52,7 @@ def test_prefix_values():
 def test_powers_of_two():
     for k in range(31):
         assert stern(2**k) == 1
-    assert stern(2**100) == 1  # bit-descent path, beyond the memo range
-    assert 2**100 > STERN_CACHE_LIMIT
+    assert stern(2**100) == 1
 
 
 def test_stern_examples():
@@ -62,19 +62,25 @@ def test_stern_examples():
 
 
 def test_descent_matches_recurrence():
-    from diatomic.stern import _stern_descent
+    # the table is built bottom-up from the definition, independently of
+    # the digit descent that `stern` runs from the top digit down
+    table = [0, 1]
+    for n in range(2, 2**14):
+        half, odd = divmod(n, 2)
+        table.append(table[half] + table[half + 1] if odd else table[half])
+    assert [stern(n) for n in range(2**14)] == table
 
-    for n in range(1, 3000):
-        assert _stern_descent(n) == stern(n)
+
+@given(st.integers(min_value=0, max_value=2**1100))
+def test_recurrence_and_routes_on_large_arguments(n):
+    assert stern(2 * n) == stern(n)
+    assert stern(2 * n + 1) == stern(n) + stern(n + 1)
+    assert stern(n) == stern_via_christoffel(n) == stern_via_subwords(n)
 
 
 def test_concurrent_evaluation():
     from concurrent.futures import ThreadPoolExecutor
-    from diatomic.stern import _stern_cache, _stern_lock
 
-    with _stern_lock:
-        _stern_cache.clear()
-        _stern_cache.update({0: 0, 1: 1})
     with ThreadPoolExecutor(max_workers=8) as pool:
         chunks = pool.map(lambda lo: [stern(n) for n in range(lo, lo + 500)],
                           range(0, 4000, 500))
