@@ -67,6 +67,7 @@ from .stern import (
     stern_via_subwords,
     stern_via_zeta,
     zeta,
+    zeta_sterns,
 )
 from .trees import TreeNode, nu, nu_inverse, path_of_fraction, ra_of, raney, stern_brocot, tree_node
 from .words import (

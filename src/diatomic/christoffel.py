@@ -16,6 +16,7 @@ from typing import Sequence
 from .fracs import Frac
 from .palindromes import PSI_LENGTH_BUDGET, period_pair, psi, psi_inverse
 from .trees import stern_brocot
+from .words import BudgetError
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,9 @@ def christoffel_by_slope(p: int, q: int) -> ChristoffelWord:
     """Christoffel word of slope p/q built letterwise from the values
     i*p mod (p+q): positions where the value increases carry a, the
     others b.  This route never touches palindromization, so it can
-    cross-validate the directive construction.
+    cross-validate the directive construction.  A central part longer
+    than ``PSI_LENGTH_BUDGET`` letters raises :class:`BudgetError` before
+    any letter is built, as :func:`christoffel_by_directive` does.
 
     >>> christoffel_by_slope(4, 7).word
     'aabaabaabab'
@@ -61,6 +64,11 @@ def christoffel_by_slope(p: int, q: int) -> ChristoffelWord:
     if p == 0:
         return ChristoffelWord("a", Frac(0, 1), None)
     n = p + q
+    if n - 2 > PSI_LENGTH_BUDGET:
+        raise BudgetError(
+            f"slope {p}/{q} needs a central word of {n - 2} letters, "
+            f"budget is {PSI_LENGTH_BUDGET}"
+        )
     letters = []
     prev = 0
     for _ in range(n):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import chain, cycle, takewhile
 from typing import Iterable, Iterator
 
-from .words import BudgetError, complement, is_palindrome
+from .words import BudgetError, complement
 
 #: Default ceiling (in letters) for materialized palindromization images.
 #: Image length is Fibonacci-like in the directive length, so this guards
@@ -28,15 +28,32 @@ def pal_closure(w: str) -> str:
     """Shortest palindrome having ``w`` as a prefix.
 
     Writing w = uQ with Q the longest palindromic suffix of w, the
-    closure is u Q reverse(u).
+    closure is u Q reverse(u).  Q is the longest border of
+    reverse(w) + "#" + w, read off the Knuth-Morris-Pratt prefix
+    function in O(len(w)): the border array of r = reverse(w), then r
+    matched along w, ending at a match of length len(Q).  A match never
+    outgrows the letters read, so no separator is needed and any string
+    is accepted.
 
     >>> pal_closure("abaa")
     'abaaba'
     """
-    for i in range(len(w)):
-        if is_palindrome(w[i:]):
-            return w + w[:i][::-1]
-    return w  # empty word
+    r = w[::-1]
+    border = [0]
+    k = 0
+    for c in r[1:]:
+        while k and c != r[k]:
+            k = border[k - 1]
+        if c == r[k]:
+            k += 1
+        border.append(k)
+    k = 0
+    for c in w:
+        while k and c != r[k]:
+            k = border[k - 1]
+        if c == r[k]:
+            k += 1
+    return w + r[k:]
 
 
 def period_pair(v: str) -> tuple[int, int]:

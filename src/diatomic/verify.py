@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterator, NamedTuple
 
-from .christoffel import christoffel_by_slope, directive_of, lyndon_factorization
+from .christoffel import christoffel_by_slope, lyndon_factorization
 from .continuants import christoffel_length_cf, fib, mirror_formula
 from .distribution import bound_report, histogram, summarize_histogram, totient_identity_check
 from .fracs import frac
@@ -33,8 +33,7 @@ from .stern import (
     stern_via_christoffel,
     stern_via_integral_continuant,
     stern_via_subwords,
-    stern_via_zeta,
-    zeta,
+    zeta_sterns,
 )
 from .trees import nu, path_of_fraction, ra_of, raney, stern_brocot
 from .words import complement, decode, encode
@@ -102,7 +101,9 @@ def check_stern_evaluators(max_k: int, max_n: int) -> CheckResult:
         if not stern(n) == stern_via_christoffel(n) == stern_via_subwords(n)
     ]
     zeta_limit = min(max_n, 2048)
-    bad += [n for n in range(2, zeta_limit + 1) if stern(n) != stern_via_zeta(n)]
+    bad += [
+        n for n, value in enumerate(zeta_sterns(zeta_limit), start=2) if stern(n) != value
+    ]
     detail = f"recurrence = words = subwords on 0..{max_n}, = continuant on 2..{zeta_limit}"
     return CheckResult("stern-evaluator-agreement", not bad, detail)
 
@@ -125,8 +126,9 @@ def check_odd_even_correspondence(max_k: int, max_n: int) -> CheckResult:
 
 def check_palindromization_composition(max_k: int, max_n: int) -> CheckResult:
     bound = min(max_k, 10)
+    image = {w: psi(w) for w in _words_up_to(bound)}
     ok = all(
-        psi(v + u) == mu(v, psi(u)) + psi(v)
+        image[v + u] == mu(v, image[u]) + image[v]
         for m in range(bound + 1)
         for split in range(m + 1)
         for v in ("".join(t) for t in itertools.product("ab", repeat=split))
@@ -146,7 +148,7 @@ def check_directive_roundtrip(max_k: int, max_n: int) -> CheckResult:
             if p + q < 2 or frac(p, q) != (p, q) or p * q == 0:
                 continue
             cw = christoffel_by_slope(p, q)
-            if directive_of(cw.word) != cw.directive:
+            if cw.directive is None or not stern_brocot(cw.directive) == cw.slope == (p, q):
                 ok = False
     return CheckResult(
         "directive-roundtrips", ok, f"psi and slope inversions, |v| <= {k}, p+q <= {limit}"

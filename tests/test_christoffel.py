@@ -15,8 +15,8 @@ from diatomic.christoffel import (
     lyndon_factorization,
     standard_by_coefficients,
 )
-from diatomic.palindromes import min_period_central, period_pair, psi
-from diatomic.words import complement, is_lyndon, min_period, reverse
+from diatomic.palindromes import PSI_LENGTH_BUDGET, min_period_central, period_pair, psi
+from diatomic.words import BudgetError, complement, is_lyndon, min_period, reverse
 
 
 def brute_standard_factorization(w):
@@ -69,6 +69,9 @@ def test_slope_errors():
         christoffel_by_slope(0, 0)
     with pytest.raises(ValueError):
         christoffel_by_slope(-1, 2)
+    # the central part would have PSI_LENGTH_BUDGET + 1 letters
+    with pytest.raises(BudgetError):
+        christoffel_by_slope(1, PSI_LENGTH_BUDGET + 2)
 
 
 def test_directive_construction():

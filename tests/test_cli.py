@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from diatomic.cli import main
+from diatomic.stern import ZETA_ARGUMENT_CAP
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +85,11 @@ def test_christoffel_noncoprime(capsys):
     assert code == 5 and "not irreducible" in err
 
 
+def test_christoffel_slope_budget(capsys):
+    code, out, err = run_cli(capsys, "christoffel", "--slope", "1/2000000000")
+    assert code == 4 and out == "" and "budget" in err
+
+
 def test_christoffel_single_letter(capsys):
     code, out, _ = run_cli(capsys, "christoffel", "--slope", "0/1")
     assert code == 0
@@ -109,6 +115,12 @@ def test_stern_huge_power_of_two(capsys):
 def test_stern_zeta_precondition(capsys):
     code, _, err = run_cli(capsys, "stern", "1", "--method", "zeta")
     assert code == 5 and err
+
+
+def test_stern_zeta_budget(capsys):
+    for method in ("zeta", "all"):
+        code, out, err = run_cli(capsys, "stern", str(ZETA_ARGUMENT_CAP + 1), "--method", method)
+        assert code == 4 and out == "" and "cap" in err
 
 
 def test_stern_parse_error(capsys):

@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,19 +29,17 @@ def brute_closure(w):
     raise AssertionError
 
 
-def kmp_closure(w):
-    """Shortest palindrome with prefix w.  The longest palindromic suffix
-    of w is the longest border of reverse(w) + "#" + w, read off the
-    Knuth-Morris-Pratt prefix function in linear time."""
-    s = w[::-1] + "#" + w
-    border = [0] * len(s)
-    for i in range(1, len(s)):
-        k = border[i - 1]
-        while k and s[i] != s[k]:
-            k = border[k - 1]
-        border[i] = k + (s[i] == s[k])
-    cut = len(w) - border[-1]
-    return w + w[:cut][::-1]
+def longest_palindromic_suffix(w):
+    """Letter by letter from both ends of each suffix, stopping at the
+    first mismatch: quadratic at worst, about linear on random words."""
+    n = len(w)
+    for i in range(n):
+        j, k = i, n - 1
+        while j < k and w[j] == w[k]:
+            j, k = j + 1, k - 1
+        if j >= k:
+            return n - i
+    return 0
 
 
 def naive_psi(v, closure=brute_closure):
@@ -60,9 +61,29 @@ def test_pal_closure_examples():
 def test_pal_closure_brute(w):
     closed = pal_closure(w)
     assert closed == brute_closure(w)
-    assert kmp_closure(w) == closed
     assert is_palindrome(closed)
     assert closed.startswith(w)
+
+
+def test_pal_closure_all_short_words():
+    for w in words_up_to(12):
+        assert pal_closure(w) == brute_closure(w)
+
+
+def test_pal_closure_long_inputs():
+    k = 50_000
+    rng = random.Random(5)
+    random_word = "".join(rng.choice("ab") for _ in range(2 * k))
+    cut = len(random_word) - longest_palindromic_suffix(random_word)
+    cases = [
+        ("a" * k + "b" + "a" * (k + 1), "a" * k + "b" + "a" * (k + 1) + "b" + "a" * k),
+        ("ab" * k + "b", "ab" * k + "b" + "a" + "ba" * (k - 1)),
+        (random_word, random_word + random_word[:cut][::-1]),
+    ]
+    for w, closed in cases:
+        start = time.perf_counter()
+        assert pal_closure(w) == closed
+        assert time.perf_counter() - start < 1.0
 
 
 def test_psi_examples():
@@ -87,7 +108,7 @@ def test_psi_budget():
     with pytest.raises(BudgetError):
         psi("ab" * 40, max_length=10**6)
     # the unbudgeted form still works on moderate directives
-    assert len(psi("ab" * 12, max_length=None)) == len(naive_psi("ab" * 12, kmp_closure))
+    assert len(psi("ab" * 12, max_length=None)) == len(naive_psi("ab" * 12, pal_closure))
 
 
 def test_psi_prefix_fibonacci():

@@ -22,8 +22,10 @@ from diatomic.stern import (
     stern_via_christoffel,
     stern_via_integral_continuant,
     stern_via_subwords,
+    ZETA_ARGUMENT_CAP,
     stern_via_zeta,
     zeta,
+    zeta_sterns,
 )
 from diatomic.trees import nu
 from diatomic.words import BudgetError, decode, encode
@@ -128,6 +130,13 @@ def test_zeta_examples():
     assert stern_via_zeta(5) == 3
     with pytest.raises(ValueError):
         stern_via_zeta(1)
+    with pytest.raises(BudgetError):
+        stern_via_zeta(ZETA_ARGUMENT_CAP + 1)
+
+
+def test_zeta_sweep():
+    assert list(zeta_sterns(5000)) == [stern(n) for n in range(2, 5001)]
+    assert list(zeta_sterns(1)) == []
 
 
 def test_ruler_prefix():
