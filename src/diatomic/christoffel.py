@@ -49,8 +49,8 @@ def christoffel_by_slope(p: int, q: int) -> ChristoffelWord:
     i*p mod (p+q): positions where the value increases carry a, the
     others b.  This route never touches palindromization, so it can
     cross-validate the directive construction.  A central part longer
-    than ``PSI_LENGTH_BUDGET`` letters raises :class:`BudgetError` before
-    any letter is built, as :func:`christoffel_by_directive` does.
+    than ``PSI_LENGTH_BUDGET // 8`` letters raises :class:`BudgetError`
+    before any letter is built.
 
     >>> christoffel_by_slope(4, 7).word
     'aabaabaabab'
@@ -64,10 +64,12 @@ def christoffel_by_slope(p: int, q: int) -> ChristoffelWord:
     if p == 0:
         return ChristoffelWord("a", Frac(0, 1), None)
     n = p + q
-    if n - 2 > PSI_LENGTH_BUDGET:
+    # the letters are collected as one-letter strings, an 8-byte pointer
+    # each, where psi's budget counts one byte per letter
+    budget = PSI_LENGTH_BUDGET // 8
+    if n - 2 > budget:
         raise BudgetError(
-            f"slope {p}/{q} needs a central word of {n - 2} letters, "
-            f"budget is {PSI_LENGTH_BUDGET}"
+            f"slope {p}/{q} needs a central word of {n - 2} letters, budget is {budget}"
         )
     letters = []
     prev = 0
@@ -93,12 +95,8 @@ def christoffel_by_directive(
 
 def christoffel_of_word(w: str) -> ChristoffelWord | None:
     """Recognize ``w`` as a Christoffel word, or return None."""
-    if w in ("a", "b"):
-        return ChristoffelWord(w, Frac(w.count("b"), w.count("a")), None)
-    if len(w) < 2 or w[0] != "a" or w[-1] != "b":
-        return None
-    v = psi_inverse(w[1:-1])
-    if v is None:
+    v = directive_of(w)
+    if v is None and w not in ("a", "b"):
         return None
     return ChristoffelWord(w, Frac(w.count("b"), w.count("a")), v)
 

@@ -24,7 +24,6 @@ import csv
 import json
 import os
 import sys
-from math import gcd
 from typing import Any, Callable, Sequence
 
 from . import verify as verify_mod
@@ -34,7 +33,7 @@ from .christoffel import (
     christoffel_by_slope,
     lyndon_factorization,
 )
-from .distribution import histogram, summarize_histogram
+from .distribution import MAX_ENUMERATED_ORDER, histogram, summarize_histogram
 from .fracs import split_frac
 from .palindromes import pal_closure, period_pair, psi, psi_inverse
 from .stern import (
@@ -82,6 +81,14 @@ def _parsed(parse: Callable[[str], Any], text: str) -> Any:
         return parse(text)
     except ValueError as exc:
         raise _ParseFailure(str(exc)) from None
+
+
+def _bound(text: str) -> int:
+    """A non-negative integer bound; argparse reports the rejection."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"bounds are non-negative: {value}")
+    return value
 
 
 def _render_word(w: str, alphabet: str) -> str:
@@ -137,11 +144,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", help="length distribution of one order")
     p.add_argument("k", type=int)
-    p.add_argument("--max-order", type=int, default=26, help="enumeration budget")
+    p.add_argument(
+        "--max-order", type=int, default=MAX_ENUMERATED_ORDER, help="enumeration budget"
+    )
 
     p = sub.add_parser("verify", help="run the identity suite")
-    p.add_argument("--max-k", type=int, default=10)
-    p.add_argument("--max-n", type=int, default=1024)
+    p.add_argument("--max-k", type=_bound, default=verify_mod.DEFAULT_MAX_K)
+    p.add_argument("--max-n", type=_bound, default=verify_mod.DEFAULT_MAX_N)
 
     return parser
 
@@ -292,9 +301,6 @@ def _cmd_tree(args: argparse.Namespace) -> int:
         return EXIT_PARSE
     if args.fraction is not None:
         p, q = _parsed(split_frac, args.fraction)
-        if gcd(p, q) != 1:
-            print(f"fraction not irreducible: {p}/{q}", file=sys.stderr)
-            return EXIT_PRECONDITION
         path = path_of_fraction((p, q), args.flavor)
     else:
         path = _parse_word(args.path, args.alphabet)

@@ -62,9 +62,6 @@ def mirror_formula(v: str) -> tuple[Frac, Frac]:
     continued fraction on the mirrored list.
     """
     rep = integral_rep(v)
-    if len(rep) == 1:
-        one = frac(rep[0] + 1, 1)
-        return one, one
     forward = list(rep)
     forward[-1] += 1
     backward = list(rep[::-1])

@@ -12,10 +12,11 @@ of ancestors (a mediant-walk oracle lives in the test suite).
 from __future__ import annotations
 
 from itertools import cycle
+from math import gcd
 from typing import NamedTuple
 
 from .continuants import cf_terms
-from .fracs import Frac, frac
+from .fracs import Frac
 from .palindromes import period_pair
 from .words import decode, encode
 
@@ -77,7 +78,8 @@ def tree_node(path: str) -> TreeNode:
 
 
 def path_of_fraction(f: Frac | tuple[int, int], flavor: str = "raney") -> str:
-    """Path word of the unique node labeled ``f`` in the chosen tree.
+    """Path word of the unique node labeled ``f`` in the chosen tree;
+    ``f`` must be positive and irreducible as given.
 
     Runs the child rules backwards: from p/q the parent is p/(q-p) or
     (p-q)/q, and a run of identical moves is one continued-fraction
@@ -86,9 +88,11 @@ def path_of_fraction(f: Frac | tuple[int, int], flavor: str = "raney") -> str:
     """
     if flavor not in ("raney", "sternbrocot"):
         raise ValueError(f"unknown tree flavor: {flavor!r}")
-    p, q = frac(*f)
+    p, q = f
     if p <= 0 or q <= 0:
         raise ValueError(f"only positive fractions label the tree: {p}/{q}")
+    if gcd(p, q) != 1:
+        raise ValueError(f"fraction not irreducible: {p}/{q}")
     # from [c0; c1, ..., cn] the climb takes c0 steps (p-q)/q, then c1
     # steps p/(q-p), and so on, ending at 1/1 one step early
     terms = cf_terms(p, q)

@@ -6,6 +6,15 @@ range controlled by ``max_k`` (word lengths / orders) and ``max_n``
 (integer arguments).  The checks are deliberately redundant with the
 unit tests: they are the runnable summary behind the ``verify`` CLI
 command.
+
+One verdict rule decides every check over a family of cases: the check
+lists its failing cases lazily, passes when there are none, and ends at
+the first one, which the detail of its FAIL then names.
+
+Every range is clamped: word lengths and orders stop at 22 at most, and
+integer arguments at 2^16 (the Stern evaluators; every other integer
+range stops at 2^14 or below).  Bounds past the clamps cost no more than
+the clamps themselves, so the suite has a fixed ceiling for any bounds.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .christoffel import christoffel_by_slope, lyndon_factorization
 from .continuants import christoffel_length_cf, fib, mirror_formula
@@ -36,7 +45,7 @@ from .stern import (
     zeta_sterns,
 )
 from .trees import nu, path_of_fraction, ra_of, raney, stern_brocot
-from .words import complement, decode, encode
+from .words import complement, encode
 
 STERN_PREFIX = (
     0, 1, 1, 2, 1, 3, 2, 3, 1, 4, 3, 5, 2, 5, 3, 4,
@@ -76,11 +85,22 @@ MISSING_COUNT_TABLE = (
     119, 195, 323, 498, 828, 1361, 2289, 3801, 6305, 10560,
 )
 
+#: Bounds of a run that is given none, for ``run_checks`` and the CLI.
+DEFAULT_MAX_K, DEFAULT_MAX_N = 10, 1024
+
 
 class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
+
+
+def _verdict(name: str, detail: str, failures: Iterable[object]) -> CheckResult:
+    """PASS when ``failures`` yields no case; otherwise FAIL with the repr
+    of the first case added to the detail, reading nothing past it."""
+    for case in failures:
+        return CheckResult(name, False, f"{detail}; first failure: {case!r}")
+    return CheckResult(name, True, detail)
 
 
 def _words_up_to(k: int) -> Iterator[str]:
@@ -90,199 +110,180 @@ def _words_up_to(k: int) -> Iterator[str]:
 
 
 def check_stern_prefix(max_k: int, max_n: int) -> CheckResult:
-    ok = tuple(stern(n) for n in range(33)) == STERN_PREFIX
-    return CheckResult("stern-prefix-values", ok, "first 33 values")
+    failures = (n for n, value in enumerate(STERN_PREFIX) if stern(n) != value)
+    return _verdict("stern-prefix-values", "first 33 values", failures)
 
 
 def check_stern_evaluators(max_k: int, max_n: int) -> CheckResult:
-    bad = [
-        n
-        for n in range(max_n + 1)
-        if not stern(n) == stern_via_christoffel(n) == stern_via_subwords(n)
-    ]
+    # the one integer range past 2^14: its clamp sets the suite's ceiling
+    limit = min(max_n, 2**16)
     zeta_limit = min(max_n, 2048)
-    bad += [
-        n for n, value in enumerate(zeta_sterns(zeta_limit), start=2) if stern(n) != value
-    ]
-    detail = f"recurrence = words = subwords on 0..{max_n}, = continuant on 2..{zeta_limit}"
-    return CheckResult("stern-evaluator-agreement", not bad, detail)
+    failures = itertools.chain(
+        (n for n in range(limit + 1)
+         if not stern(n) == stern_via_christoffel(n) == stern_via_subwords(n)),
+        (n for n, value in enumerate(zeta_sterns(zeta_limit), start=2) if stern(n) != value),
+    )
+    detail = f"recurrence = words = subwords on 0..{limit}, = continuant on 2..{zeta_limit}"
+    return _verdict("stern-evaluator-agreement", detail, failures)
 
 
 def check_odd_even_correspondence(max_k: int, max_n: int) -> CheckResult:
     k = min(max_k, 12)
-    ok = True
-    for w in _words_up_to(k):
-        pa, pb = period_pair(w)
-        if stern(encode("b" + w + "b")) != pa + pb:
-            ok = False
-            break
-        if stern(encode("b" + w + "b") + 1) != min_period_central(w + "b"):
-            ok = False
-            break
-    return CheckResult(
-        "odd-length-even-period", ok, f"s at <bwb>, <bwb>+1 for |w| <= {k}"
+    failures = (
+        w for w in _words_up_to(k)
+        if stern(encode("b" + w + "b")) != sum(period_pair(w))
+        or stern(encode("b" + w + "b") + 1) != min_period_central(w + "b")
     )
+    return _verdict("odd-length-even-period", f"s at <bwb>, <bwb>+1 for |w| <= {k}", failures)
 
 
 def check_palindromization_composition(max_k: int, max_n: int) -> CheckResult:
     bound = min(max_k, 10)
     image = {w: psi(w) for w in _words_up_to(bound)}
-    ok = all(
-        image[v + u] == mu(v, image[u]) + image[v]
-        for m in range(bound + 1)
+    failures = (
+        (v, u) for m in range(bound + 1)
         for split in range(m + 1)
         for v in ("".join(t) for t in itertools.product("ab", repeat=split))
         for u in ("".join(t) for t in itertools.product("ab", repeat=m - split))
+        if image[v + u] != mu(v, image[u]) + image[v]
     )
-    return CheckResult(
-        "palindromization-composition", ok, f"psi(vu) = mu_v(psi(u)) psi(v), |vu| <= {bound}"
-    )
+    detail = f"psi(vu) = mu_v(psi(u)) psi(v), |vu| <= {bound}"
+    return _verdict("palindromization-composition", detail, failures)
 
 
 def check_directive_roundtrip(max_k: int, max_n: int) -> CheckResult:
     k = min(max_k, 12)
-    ok = all(psi_inverse(psi(v)) == v for v in _words_up_to(k))
     limit = min(max_n, 200)
-    for p in range(limit + 1):
-        for q in range(limit + 1 - p):
-            if p + q < 2 or frac(p, q) != (p, q) or p * q == 0:
-                continue
-            cw = christoffel_by_slope(p, q)
-            if cw.directive is None or not stern_brocot(cw.directive) == cw.slope == (p, q):
-                ok = False
-    return CheckResult(
-        "directive-roundtrips", ok, f"psi and slope inversions, |v| <= {k}, p+q <= {limit}"
+    failures = itertools.chain(
+        (("psi", v) for v in _words_up_to(k) if psi_inverse(psi(v)) != v),
+        (
+            ("slope", p, q) for p in range(1, limit + 1)
+            for q in range(1, limit + 1 - p)
+            if frac(p, q) == (p, q)
+            for cw in [christoffel_by_slope(p, q)]
+            if cw.directive is None or not stern_brocot(cw.directive) == cw.slope == (p, q)
+        ),
     )
+    detail = f"psi and slope inversions, |v| <= {k}, p+q <= {limit}"
+    return _verdict("directive-roundtrips", detail, failures)
 
 
 def check_factorization(max_k: int, max_n: int) -> CheckResult:
     k = min(max_k, 10)
-    ok = True
-    for v in _words_up_to(k):
+
+    def fails(v: str) -> bool:
         cw = christoffel_by_slope(*stern_brocot(v))
         w1, w2 = lyndon_factorization(cw)
         n = len(cw.word)
         p, q = cw.slope
-        if w1.word + w2.word != cw.word or not w1.word < w2.word:
-            ok = False
-            break
-        if (len(w1.word) * p) % n != 1 or (len(w2.word) * q) % n != 1:
-            ok = False
-            break
-    return CheckResult(
-        "lyndon-factorization", ok, f"split, order, modular inverses for |v| <= {k}"
-    )
+        return (
+            w1.word + w2.word != cw.word
+            or not w1.word < w2.word
+            or (len(w1.word) * p) % n != 1
+            or (len(w2.word) * q) % n != 1
+        )
+
+    detail = f"split, order, modular inverses for |v| <= {k}"
+    return _verdict("lyndon-factorization", detail, filter(fails, _words_up_to(k)))
 
 
 def check_occurrence_markers(max_k: int, max_n: int) -> CheckResult:
     k = min(max_k, 10)
-    ok = all(marked_occurrences(w)[0] == psi(w) + "ba" for w in _words_up_to(k))
-    return CheckResult(
-        "occurrence-markers", ok, f"sorted markers spell psi(w)ba for |w| <= {k}"
-    )
+    failures = (w for w in _words_up_to(k) if marked_occurrences(w)[0] != psi(w) + "ba")
+    detail = f"sorted markers spell psi(w)ba for |w| <= {k}"
+    return _verdict("occurrence-markers", detail, failures)
 
 
 def check_subword_counts(max_k: int, max_n: int) -> CheckResult:
     k = min(max_k, 12)
-    ok = True
-    for v in _words_up_to(k):
-        pa, pb = period_pair(v)
-        if length_by_subword_count(v) != pa + pb:
-            ok = False
-            break
-        if initial_subword_count(v) != ("a" + psi(v) + "b").count("a"):
-            ok = False
-            break
-    return CheckResult(
-        "pattern-subword-counts", ok, f"length and letter counts for |v| <= {k}"
+    failures = (
+        v for v in _words_up_to(k)
+        if length_by_subword_count(v) != sum(period_pair(v))
+        or initial_subword_count(v) != ("a" + psi(v) + "b").count("a")
     )
+    return _verdict("pattern-subword-counts", f"length and letter counts for |v| <= {k}", failures)
 
 
 def check_factor_decomposition(max_k: int, max_n: int) -> CheckResult:
     k = min(max_k, 12)
-    ok = all(factor_decomposition(w).total == sum(period_pair(w)) for w in _words_up_to(k))
-    ok = ok and all(stern_factor_identity(n) for n in range(min(max_n, 512) + 1))
-    return CheckResult(
-        "weighted-factor-decomposition", ok, f"totals equal lengths for |w| <= {k}"
+    failures = itertools.chain(
+        (
+            ("factors", w) for w in _words_up_to(k)
+            if factor_decomposition(w).total != sum(period_pair(w))
+        ),
+        (("stern", n) for n in range(min(max_n, 512) + 1) if not stern_factor_identity(n)),
     )
+    detail = f"totals equal lengths for |w| <= {k}"
+    return _verdict("weighted-factor-decomposition", detail, failures)
 
 
 def check_tree_duality(max_k: int, max_n: int) -> CheckResult:
     k = min(max_k, 12)
-    ok = True
-    for w in _words_up_to(k):
-        ra = raney(w)
-        if stern_brocot(w) != raney(w[::-1]) or raney(complement(w)) != ra.inverse:
-            ok = False
-            break
-        if path_of_fraction(ra, "raney") != w:
-            ok = False
-            break
-    return CheckResult(
-        "tree-duality", ok, f"reversal, complement inversion, path inverse for |w| <= {k}"
+    failures = (
+        w for w in _words_up_to(k)
+        for ra in [raney(w)]
+        if stern_brocot(w) != raney(w[::-1])
+        or raney(complement(w)) != ra.inverse
+        or path_of_fraction(ra, "raney") != w
     )
+    detail = f"reversal, complement inversion, path inverse for |w| <= {k}"
+    return _verdict("tree-duality", detail, failures)
 
 
 def check_mirror_formula(max_k: int, max_n: int) -> CheckResult:
     k = min(max_k, 12)
-    ok = all(mirror_formula(v) == (stern_brocot(v), raney(v)) for v in _words_up_to(k))
-    return CheckResult(
-        "mirror-formula", ok, f"continued fractions match tree labels for |v| <= {k}"
-    )
+    failures = (v for v in _words_up_to(k) if mirror_formula(v) != (stern_brocot(v), raney(v)))
+    detail = f"continued fractions match tree labels for |v| <= {k}"
+    return _verdict("mirror-formula", detail, failures)
 
 
 def check_continuant_length(max_k: int, max_n: int) -> CheckResult:
     k = min(max_k, 14)
-    ok = True
-    for v in _words_up_to(k):
-        pa, pb = period_pair(v)
-        if christoffel_length_cf(v) != (pa + pb, min_period_central(v)):
-            ok = False
-            break
-    return CheckResult(
-        "continuant-length-period", ok, f"continuant route for |v| <= {k}"
+    failures = (
+        v for v in _words_up_to(k)
+        if christoffel_length_cf(v) != (sum(period_pair(v)), min_period_central(v))
     )
+    return _verdict("continuant-length-period", f"continuant route for |v| <= {k}", failures)
 
 
 def check_ra_numbering(max_k: int, max_n: int) -> CheckResult:
     limit = min(max_n, 4096)
-    ok = all(ra_of(n) == (stern(n - 1), stern(n)) for n in range(2, limit + 1))
-    return CheckResult(
-        "tree-numbering-stern", ok, f"ra(n) = s(n-1)/s(n) for n <= {limit}"
-    )
+    failures = (n for n in range(2, limit + 1) if ra_of(n) != (stern(n - 1), stern(n)))
+    return _verdict("tree-numbering-stern", f"ra(n) = s(n-1)/s(n) for n <= {limit}", failures)
 
 
 def check_stern_identities(max_k: int, max_n: int) -> CheckResult:
     limit = min(max_n, 4096)
-    ok = all(stern(n) == stern(reverse_bits(n)) for n in range(limit + 1))
-    for k in range(min(max_k, 12) + 1):
-        ok = ok and all(
-            stern(2**k + p) == stern(2 ** (k + 1) - p) for p in range(1, 2**k + 1)
-        )
-    ok = ok and all(
-        stern(n - 1) // stern(n) == ruler(n) for n in range(1, limit + 1)
+    failures = itertools.chain(
+        (("reversal", n) for n in range(limit + 1) if stern(n) != stern(reverse_bits(n))),
+        (
+            ("symmetry", k, p) for k in range(min(max_k, 12) + 1)
+            for p in range(1, 2**k + 1)
+            if stern(2**k + p) != stern(2 ** (k + 1) - p)
+        ),
+        (("quotient", n) for n in range(1, limit + 1) if stern(n - 1) // stern(n) != ruler(n)),
+        (
+            ("successor", n) for n in range(1, limit + 1)
+            if Fraction(stern(n), stern(n + 1))
+            != 1 / (2 * ruler(n) + 1 - Fraction(stern(n - 1), stern(n)))
+        ),
+        (("delta", n) for n in range(2, limit + 1)
+         if delta_expansion(n).total != stern(2 * n - 1)),
+        (
+            ("zigzag", k, p) for k in range(3, min(max_k, 13) + 1)
+            for p in range(2 ** (k - 3))
+            if not stern(2**k + 8 * p + 1) < stern(2**k + 8 * p + 3)
+            or not stern(2**k + 8 * p + 5) > stern(2**k + 8 * p + 7)
+        ),
     )
-    ok = ok and all(
-        Fraction(stern(n), stern(n + 1))
-        == 1 / (2 * ruler(n) + 1 - Fraction(stern(n - 1), stern(n)))
-        for n in range(1, limit + 1)
-    )
-    ok = ok and all(delta_expansion(n).total == stern(2 * n - 1) for n in range(2, limit + 1))
-    for k in range(3, min(max_k, 13) + 1):
-        for p in range(2 ** (k - 3)):
-            ok = ok and stern(2**k + 8 * p + 1) < stern(2**k + 8 * p + 3)
-            ok = ok and stern(2**k + 8 * p + 5) > stern(2**k + 8 * p + 7)
-    return CheckResult(
-        "stern-identities", ok, f"bit reversal, symmetry, quotient steps for n <= {limit}"
-    )
+    detail = f"bit reversal, symmetry, quotient steps for n <= {limit}"
+    return _verdict("stern-identities", detail, failures)
 
 
 def check_integral_continuant(max_k: int, max_n: int) -> CheckResult:
     k = min(max_k, 12)
-    ok = all(stern_via_integral_continuant(w) == stern(nu(w)) for w in _words_up_to(k))
-    return CheckResult(
-        "integral-continuant-stern", ok, f"s(nu(w)) continuant for |w| <= {k}"
-    )
+    failures = (w for w in _words_up_to(k) if stern_via_integral_continuant(w) != stern(nu(w)))
+    return _verdict("integral-continuant-stern", f"s(nu(w)) continuant for |w| <= {k}", failures)
 
 
 class _OrderFigures(NamedTuple):
@@ -311,43 +312,35 @@ def _order(k: int) -> _OrderFigures:
 
 def check_histograms(max_k: int, max_n: int) -> CheckResult:
     top = min(max_k, 22)
-    ok = True
-    for k in range(top + 1):
-        f = _order(k)
-        if f.mass != 2**k or f.weighted_mass != 2 * 3**k:
-            ok = False
-            break
-        if f.shortest < k + 2 or f.longest > fib(k + 1):
-            ok = False
-            break
-    return CheckResult(
-        "histogram-invariants", ok, f"mass 2^k, weighted mass 2*3^k for k <= {top}"
+    failures = (
+        k for k in range(top + 1)
+        for f in [_order(k)]
+        if f.mass != 2**k or f.weighted_mass != 2 * 3**k
+        or f.shortest < k + 2 or f.longest > fib(k + 1)
     )
+    detail = f"mass 2^k, weighted mass 2*3^k for k <= {top}"
+    return _verdict("histogram-invariants", detail, failures)
 
 
 def check_tables(max_k: int, max_n: int) -> CheckResult:
     # the published rows reach order 22; raising --max-k past 14 turns on
     # the slow tail (order k enumerates 2^k directives)
     top = min(max_k, 22)
-    ok = True
-    for k in range(1, top + 1):
-        f = _order(k)
-        expected_max, listed = MAX_COUNT_TABLE[k]
-        if f.max_count != expected_max or not set(listed) <= f.argmax:
-            ok = False
-            break
-        if k <= len(MISSING_COUNT_TABLE) and f.missing_count != MISSING_COUNT_TABLE[k - 1]:
-            ok = False
-            break
-    return CheckResult(
-        "published-table-pins", ok, f"max counts and missing lengths for k <= {top}"
+    failures = (
+        k for k in range(1, top + 1)
+        for f, (expected_max, listed) in [(_order(k), MAX_COUNT_TABLE[k])]
+        if f.max_count != expected_max
+        or not set(listed) <= f.argmax
+        or (k <= len(MISSING_COUNT_TABLE) and f.missing_count != MISSING_COUNT_TABLE[k - 1])
     )
+    detail = f"max counts and missing lengths for k <= {top}"
+    return _verdict("published-table-pins", detail, failures)
 
 
 def check_bounds(max_k: int, max_n: int) -> CheckResult:
     top = min(max_k, 14)
-    ok = all(bound_report(k).passed for k in range(3, top + 1))
-    return CheckResult("length-bounds", ok, f"extremal classes for 3 <= k <= {top}")
+    failures = (k for k in range(3, top + 1) if not bound_report(k).passed)
+    return _verdict("length-bounds", f"extremal classes for 3 <= k <= {top}", failures)
 
 
 def check_totient(max_k: int, max_n: int) -> CheckResult:
@@ -358,25 +351,19 @@ def check_totient(max_k: int, max_n: int) -> CheckResult:
 
 def check_fibonacci_word(max_k: int, max_n: int) -> CheckResult:
     target = psi("ab" * 6)
-    ok = psi_prefix("", "ab", len(target)) == target
-    ok = ok and target.startswith("abaababaabaab")
+    ok = psi_prefix("", "ab", len(target)) == target and target.startswith("abaababaabaab")
     return CheckResult("fibonacci-word-prefix", ok, "periodic directive limit")
 
 
 def check_alternating_numbers(max_k: int, max_n: int) -> CheckResult:
     top = min(max_k, 16)
-    ok = True
-    for k in range(1, top + 1):
-        u = ("ab" * k)[: k - 1]
-        if encode("b" + u + "b") != (2 ** (k + 2) + (-1) ** (k + 1)) // 3:
-            ok = False
-            break
-        if sum(period_pair(("ab" * k)[:k])) != fib(k + 1):
-            ok = False
-            break
-    return CheckResult(
-        "alternating-directives", ok, f"tree numbers and Fibonacci lengths for k <= {top}"
+    failures = (
+        k for k in range(1, top + 1)
+        if encode("b" + ("ab" * k)[: k - 1] + "b") != (2 ** (k + 2) + (-1) ** (k + 1)) // 3
+        or sum(period_pair(("ab" * k)[:k])) != fib(k + 1)
     )
+    detail = f"tree numbers and Fibonacci lengths for k <= {top}"
+    return _verdict("alternating-directives", detail, failures)
 
 
 ALL_CHECKS: list[Callable[[int, int], CheckResult]] = [
@@ -404,7 +391,7 @@ ALL_CHECKS: list[Callable[[int, int], CheckResult]] = [
 ]
 
 
-def run_checks(max_k: int = 10, max_n: int = 1024) -> list[CheckResult]:
+def run_checks(max_k: int = DEFAULT_MAX_K, max_n: int = DEFAULT_MAX_N) -> list[CheckResult]:
     """Run the whole suite with the given exhaustive bounds.
 
     Each order's histogram is built once per run, for the two checks

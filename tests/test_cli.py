@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -86,8 +87,13 @@ def test_christoffel_noncoprime(capsys):
 
 
 def test_christoffel_slope_budget(capsys):
-    code, out, err = run_cli(capsys, "christoffel", "--slope", "1/2000000000")
-    assert code == 4 and out == "" and "budget" in err
+    # 1/134217731 has 134217729 central letters: inside PSI_LENGTH_BUDGET,
+    # past the eighth of it that the slope route's list of letters may use
+    for slope in ("1/2000000000", "1/134217731"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "christoffel", "--slope", slope)
+        assert code == 4 and out == "" and "budget" in err
+        assert time.perf_counter() - start < 1
 
 
 def test_christoffel_single_letter(capsys):
@@ -149,6 +155,13 @@ def test_tree_fraction(capsys):
     code, out, _ = run_cli(capsys, "tree", "--fraction", "4/7", "--flavor", "sternbrocot")
     assert code == 0
     assert "path: abaa" in out
+
+
+def test_tree_fraction_preconditions(capsys):
+    code, out, err = run_cli(capsys, "tree", "--fraction", "0/5")
+    assert (code, out) == (5, "") and "only positive fractions" in err and "0/5" in err
+    code, out, err = run_cli(capsys, "tree", "--fraction", "2/4")
+    assert (code, out) == (5, "") and "not irreducible: 2/4" in err
 
 
 def test_tree_argument_exclusivity(capsys):
@@ -237,6 +250,14 @@ def test_verify_fast(capsys):
     lines = out.splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+@pytest.mark.parametrize("bounds", [("--max-k", "-1"), ("--max-n", "-5"), ("--max-k", "x")])
+def test_verify_rejects_bad_bounds(capsys, bounds):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *bounds])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == "" and bounds[0] in captured.err
 
 
 def test_verify_json(capsys):

@@ -131,6 +131,8 @@ def test_path_of_fraction_examples():
             assert path_of_fraction((1, n), flavor) == "a" * (n - 1)
     with pytest.raises(ValueError):
         path_of_fraction(Frac(0, 1))
+    with pytest.raises(ValueError, match="not irreducible: 2/4"):
+        path_of_fraction((2, 4))
     with pytest.raises(ValueError):
         path_of_fraction(Frac(1, 2), "mediant")
 

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -30,4 +31,45 @@ def test_directive_roundtrip_catches_a_wrong_slope_word(monkeypatch):
         lambda p, q: replace(original(q, p), slope=Frac(p, q)),
     ):
         monkeypatch.setattr(verify, "christoffel_by_slope", swapped)
-        assert not verify.check_directive_roundtrip(0, 20).ok
+        result = verify.check_directive_roundtrip(0, 20)
+        assert not result.ok and result.detail.endswith("; first failure: ('slope', 1, 2)")
+
+
+def test_verdict_reads_only_up_to_the_first_failure():
+    def cases():
+        yield "abba"
+        raise AssertionError("read past the first failure")
+
+    assert verify._verdict("x", "d", cases()) == verify.CheckResult(
+        "x", False, "d; first failure: 'abba'"
+    )
+    assert verify._verdict("x", "d", iter(())) == verify.CheckResult("x", True, "d")
+
+
+def test_failures_name_their_first_case(monkeypatch):
+    original_subwords = verify.stern_via_subwords
+    monkeypatch.setattr(
+        verify, "stern_via_subwords", lambda n: original_subwords(n) + (n == 37)
+    )
+    result = verify.check_stern_evaluators(0, 64)
+    assert not result.ok and result.detail.endswith("; first failure: 37")
+
+    original_report = verify.bound_report
+    monkeypatch.setattr(
+        verify,
+        "bound_report",
+        lambda k: replace(original_report(k), least_length_ok=k != 5),
+    )
+    result = verify.check_bounds(8, 0)
+    assert not result.ok and result.detail.endswith("; first failure: 5")
+
+    monkeypatch.setattr(verify, "ruler", lambda n: 0)
+    result = verify.check_stern_identities(4, 64)
+    assert not result.ok and result.detail.endswith("; first failure: ('quotient', 2)")
+
+
+def test_stern_evaluators_clamp_max_n():
+    start = time.perf_counter()
+    result = verify.check_stern_evaluators(0, 10**8)
+    assert time.perf_counter() - start < 2
+    assert result.ok and "on 0..65536," in result.detail
