@@ -14,7 +14,8 @@ from math import gcd
 from typing import Sequence
 
 from .fracs import Frac
-from .palindromes import PSI_LENGTH_BUDGET, period_pair, psi, psi_inverse
+from . import palindromes
+from .palindromes import period_pair, psi, psi_inverse
 from .trees import stern_brocot
 from .words import BudgetError
 
@@ -66,7 +67,7 @@ def christoffel_by_slope(p: int, q: int) -> ChristoffelWord:
     n = p + q
     # the letters are collected as one-letter strings, an 8-byte pointer
     # each, where psi's budget counts one byte per letter
-    budget = PSI_LENGTH_BUDGET // 8
+    budget = palindromes.PSI_LENGTH_BUDGET // 8
     if n - 2 > budget:
         raise BudgetError(
             f"slope {p}/{q} needs a central word of {n - 2} letters, budget is {budget}"
@@ -81,15 +82,14 @@ def christoffel_by_slope(p: int, q: int) -> ChristoffelWord:
     return ChristoffelWord(word, Frac(p, q), psi_inverse(word[1:-1]))
 
 
-def christoffel_by_directive(
-    v: str, max_length: int | None = PSI_LENGTH_BUDGET
-) -> ChristoffelWord:
-    """Proper Christoffel word a psi(v) b with directive ``v``.
+def christoffel_by_directive(v: str) -> ChristoffelWord:
+    """Proper Christoffel word a psi(v) b with directive ``v``; :func:`psi`
+    checks its central part against ``PSI_LENGTH_BUDGET`` first.
 
     >>> christoffel_by_directive("abaa").word
     'aabaabaabab'
     """
-    word = "a" + psi(v, max_length=max_length) + "b"
+    word = "a" + psi(v) + "b"
     return ChristoffelWord(word, stern_brocot(v), v)
 
 

@@ -33,7 +33,7 @@ from .christoffel import (
     christoffel_by_slope,
     lyndon_factorization,
 )
-from .distribution import MAX_ENUMERATED_ORDER, histogram, summarize_histogram
+from .distribution import histogram, summarize_histogram
 from .fracs import split_frac
 from .palindromes import pal_closure, period_pair, psi, psi_inverse
 from .stern import (
@@ -144,9 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dist", help="length distribution of one order")
     p.add_argument("k", type=int)
-    p.add_argument(
-        "--max-order", type=int, default=MAX_ENUMERATED_ORDER, help="enumeration budget"
-    )
 
     p = sub.add_parser("verify", help="run the identity suite")
     p.add_argument("--max-k", type=_bound, default=verify_mod.DEFAULT_MAX_K)
@@ -321,7 +318,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
-    h = histogram(args.k, args.max_order)
+    h = histogram(args.k)
     s = summarize_histogram(h)
     lines = [
         f"k: {s.order}",

@@ -28,7 +28,7 @@ from operator import add, mul
 from .continuants import cf_terms, fib
 from .words import BudgetError, complement, decode
 
-#: Default bound on the order accepted by the exhaustive enumerations.
+#: Largest order accepted by the exhaustive enumerations, read at call time.
 MAX_ENUMERATED_ORDER = 26
 
 #: Depth of the coefficient block ``histogram`` reuses under every root,
@@ -71,13 +71,13 @@ class OrderSummary:
     missing_count: int
 
 
-def _check_order(k: int, max_order: int) -> None:
+def _check_order(k: int) -> None:
     if k < 0:
         raise ValueError("order must be non-negative")
-    if k > max_order:
+    if k > MAX_ENUMERATED_ORDER:
         raise BudgetError(
             f"order {k} enumerates 2^{k} = {2**k} directives; "
-            f"the configured bound is {max_order}"
+            f"the configured bound is {MAX_ENUMERATED_ORDER}"
         )
 
 
@@ -97,7 +97,7 @@ def _descendants(m: int, pa: int = 1, pb: int = 1) -> tuple[list[int], list[int]
     return xs, ys
 
 
-def histogram(k: int, max_order: int = MAX_ENUMERATED_ORDER) -> LengthHistogram:
+def histogram(k: int) -> LengthHistogram:
     """Length histogram of all 2^k order-k Christoffel words.
 
     Blocked sweep: the length below a node (pa, pb) along a path of
@@ -110,7 +110,7 @@ def histogram(k: int, max_order: int = MAX_ENUMERATED_ORDER) -> LengthHistogram:
     >>> histogram(3).counts
     {5: 2, 7: 4, 8: 2}
     """
-    _check_order(k, max_order)
+    _check_order(k)
     if k == 0:
         return LengthHistogram(0, {2: 1})
     m = min(k - 1, _BLOCK_DEPTH)
@@ -132,11 +132,11 @@ def summarize_histogram(h: LengthHistogram) -> OrderSummary:
     return OrderSummary(h.order, top, argmax, missing, len(missing))
 
 
-def summarize(k: int, max_order: int = MAX_ENUMERATED_ORDER) -> OrderSummary:
+def summarize(k: int) -> OrderSummary:
     """Maximal multiplicity, its length arguments, and the missing lengths
     of order k.
     """
-    return summarize_histogram(histogram(k, max_order))
+    return summarize_histogram(histogram(k))
 
 
 def alternating(k: int, first: str = "a") -> str:
@@ -243,11 +243,11 @@ class BoundReport:
         )
 
 
-def bound_report(k: int, max_order: int = MAX_ENUMERATED_ORDER) -> BoundReport:
+def bound_report(k: int) -> BoundReport:
     """Check every length bound and equality class over all of order k >= 3."""
     if k < 3:
         raise ValueError("bound checks need order k >= 3")
-    _check_order(k, max_order)
+    _check_order(k)
 
     lengths = list(map(add, *_descendants(k)))
     lo, top = k + 2, fib(k + 1)

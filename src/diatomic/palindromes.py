@@ -18,7 +18,7 @@ from typing import Iterable, Iterator
 
 from .words import BudgetError, complement
 
-#: Default ceiling (in letters) for materialized palindromization images.
+#: Ceiling (in letters) for materialized palindromization images.
 #: Image length is Fibonacci-like in the directive length, so this guards
 #: against accidental memory exhaustion, not against honest large runs.
 PSI_LENGTH_BUDGET = 2**30
@@ -95,25 +95,24 @@ def _grow(image: bytearray, letters: Iterable[str]) -> None:
             image += image[n - p :]
 
 
-def psi(v: str, max_length: int | None = PSI_LENGTH_BUDGET) -> str:
+def psi(v: str) -> str:
     """Iterated palindromic closure of the directive word ``v``.
 
     Each step extends the current palindrome by exactly its new minimal
     period, so the whole image is built in time linear in its length
     instead of rescanning for palindromic suffixes.  When the predicted
-    image length exceeds ``max_length`` a :class:`BudgetError` is raised
-    before any letters are produced.
+    image length exceeds ``PSI_LENGTH_BUDGET`` a :class:`BudgetError` is
+    raised before any letters are produced.
 
     >>> psi("aba")
     'abaaba'
     """
-    if max_length is not None:
-        pa, pb = period_pair(v)
-        if pa + pb - 2 > max_length:
-            raise BudgetError(
-                f"palindromization image has {pa + pb - 2} letters, "
-                f"budget is {max_length}"
-            )
+    pa, pb = period_pair(v)
+    if pa + pb - 2 > PSI_LENGTH_BUDGET:
+        raise BudgetError(
+            f"palindromization image has {pa + pb - 2} letters, "
+            f"budget is {PSI_LENGTH_BUDGET}"
+        )
     image = bytearray()
     _grow(image, v)
     return image.decode()
@@ -124,12 +123,16 @@ def psi_prefix(preperiod: str, period: str, n: int) -> str:
     directive word ``preperiod . period . period ...``.
 
     With empty preperiod and period ``ab`` this produces prefixes of the
-    Fibonacci word abaababaabaab...
+    Fibonacci word abaababaabaab...  ``n`` must not exceed ``PSI_LENGTH_BUDGET``.
     """
     if n < 0:
         raise ValueError("prefix length must be non-negative")
     if not period:
         raise ValueError("period word must be non-empty")
+    if n > PSI_LENGTH_BUDGET:
+        raise BudgetError(
+            f"palindromization image has {n} letters, budget is {PSI_LENGTH_BUDGET}"
+        )
     image = bytearray()
     directive = chain(preperiod, cycle(period))
     _grow(image, takewhile(lambda _: len(image) < n, directive))

@@ -283,25 +283,25 @@ class MarkedOccurrence(NamedTuple):
         return self.occurrence[0] == 1
 
 
-#: Default ceiling on the number of marked occurrences enumerated at once.
+#: Ceiling on the number of marked occurrences enumerated at once.
 MARKED_OCCURRENCE_CAP = 10**6
 
 
-def marked_occurrences(
-    w: str, cap: int = MARKED_OCCURRENCE_CAP
-) -> tuple[str, list[MarkedOccurrence]]:
+def marked_occurrences(w: str) -> tuple[str, list[MarkedOccurrence]]:
     """All occurrences of b(ab)* subwords in b w b, sorted by decreasing
     reversed position tuple and marked a (initial) or b (non-initial).
 
     Read top to bottom, the markers spell psi(w) b a: the occurrence
     table is a standard word in disguise.  The number of rows equals the
-    Christoffel length of w, which is checked against ``cap`` before
-    enumerating.  Reversed keys compare as tuples, a proper prefix
-    ranking below its extensions.
+    Christoffel length of w, which is checked against
+    ``MARKED_OCCURRENCE_CAP`` before enumerating.  Reversed keys compare
+    as tuples, a proper prefix ranking below its extensions.
     """
     predicted = sum(period_pair(w))
-    if predicted > cap:
-        raise BudgetError(f"{predicted} occurrences exceed the cap of {cap}")
+    if predicted > MARKED_OCCURRENCE_CAP:
+        raise BudgetError(
+            f"{predicted} occurrences exceed the cap of {MARKED_OCCURRENCE_CAP}"
+        )
     host = "b" + w + "b"
     n = len(host)
     found: list[tuple[int, ...]] = []
@@ -329,16 +329,11 @@ def marked_occurrences(
 
 
 def initial_subword_count(v: str) -> int:
-    """Occurrences of b(ab)* subwords in b v b that start at position 1;
-    equals the number of letters a in the Christoffel word directed by v.
+    """Occurrences of b(ab)* subwords in b v b that start at position 1,
+    that is all of them less those inside the suffix v b; equals the
+    number of letters a in the Christoffel word directed by v.
     """
-    complete, pending = 1, 0  # the opening b alone
-    for c in v + "b":
-        if c == "b":
-            complete += pending
-        else:
-            pending += complete
-    return complete
+    return _pattern_count("b" + v + "b") - _pattern_count(v + "b")
 
 
 def length_by_subword_count(v: str) -> int:

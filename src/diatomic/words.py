@@ -20,7 +20,7 @@ _COMPLEMENT = str.maketrans("ab", "ba")
 _TO_DIGITS = str.maketrans("ab", "01")
 _FROM_DIGITS = str.maketrans("01", "ab")
 
-#: Default ceiling on how many subword occurrences may be materialized.
+#: Ceiling on the positions (and predictor steps) of subword enumerations.
 OCCURRENCE_CAP = 10**7
 
 
@@ -197,27 +197,31 @@ def subword_binomial(w: str, u: str) -> int:
     return counts[len(u)]
 
 
-def subword_occurrences(
-    w: str, u: str, cap: int = OCCURRENCE_CAP
-) -> list[tuple[int, ...]]:
+def subword_occurrences(w: str, u: str) -> list[tuple[int, ...]]:
     """All occurrences of ``u`` as a subword of ``w``, in lexicographic order.
 
     Each occurrence is the strictly increasing tuple of 1-based positions
-    of the embedding.  Since their number can grow exponentially, the
-    predicted count (from :func:`subword_binomial`) is checked against
-    ``cap`` before anything is materialized.
+    of the embedding.  Before any work, ``OCCURRENCE_CAP`` bounds the
+    len(w) * len(u) steps of :func:`subword_binomial`, then the positions
+    to materialize: len(u) per occurrence it predicts.
     """
-    predicted = subword_binomial(w, u)
-    if predicted > cap:
-        raise BudgetError(f"{predicted} occurrences exceed the cap of {cap}")
     n, m = len(w), len(u)
-    if m == 0:
-        return [()]
+    if n * m > OCCURRENCE_CAP:
+        raise BudgetError(f"{n * m} predictor steps exceed the cap of {OCCURRENCE_CAP}")
+    predicted = subword_binomial(w, u)
+    if predicted * m > OCCURRENCE_CAP:
+        raise BudgetError(f"{predicted * m} positions exceed the cap of {OCCURRENCE_CAP}")
+    if m == 0 or predicted == 0:
+        return [()] * predicted  # [()] for the empty u, [] when u never fits
+    # stop[j] is the last index where letter j leaves room for u[j + 1:]
+    stop = [0] * m + [n]
+    for j in range(m - 1, -1, -1):
+        stop[j] = w.rfind(u[j], 0, stop[j + 1])
     out: list[tuple[int, ...]] = []
     # depth-first with an explicit stack: candidates[j] runs over the
     # positions still open for letter j, chosen[:j] holds letters 0..j-1
     chosen: list[int] = []
-    candidates = [iter(range(n - m + 1))]
+    candidates = [iter(range(stop[0] + 1))]
     while candidates:
         j = len(candidates) - 1
         c = u[j]
@@ -233,7 +237,7 @@ def subword_occurrences(
                 i = n
             if i < n:
                 chosen.append(i + 1)
-                candidates.append(iter(range(i + 1, n - m + j + 2)))
+                candidates.append(iter(range(i + 1, stop[j + 1] + 1)))
                 continue
         # letter j has no position left: back up to letter j - 1
         candidates.pop()

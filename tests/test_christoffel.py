@@ -15,6 +15,7 @@ from diatomic.christoffel import (
     lyndon_factorization,
     standard_by_coefficients,
 )
+from diatomic import palindromes
 from diatomic.palindromes import PSI_LENGTH_BUDGET, min_period_central, period_pair, psi
 from diatomic.words import BudgetError, complement, is_lyndon, min_period, reverse
 
@@ -72,6 +73,16 @@ def test_slope_errors():
     # the central part would have PSI_LENGTH_BUDGET + 1 letters
     with pytest.raises(BudgetError):
         christoffel_by_slope(1, PSI_LENGTH_BUDGET + 2)
+
+
+def test_both_routes_read_the_one_psi_budget(monkeypatch):
+    # 80 letters: psi keeps 80, the slope route an eighth of them
+    monkeypatch.setattr(palindromes, "PSI_LENGTH_BUDGET", 80)
+    with pytest.raises(BudgetError):
+        christoffel_by_directive("ab" * 5)  # 231-letter central part
+    with pytest.raises(BudgetError):
+        christoffel_by_slope(1, 12)  # 11-letter central part
+    assert christoffel_by_slope(1, 11).word == "a" * 11 + "b"
 
 
 def test_directive_construction():

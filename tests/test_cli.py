@@ -208,6 +208,19 @@ def test_dist_budget(capsys):
     assert code == 4
 
 
+def test_dist_budget_is_checked_first(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "dist", "27")
+    assert (code, out) == (4, "")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_dist_has_no_budget_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dist", "5", "--max-order", "4"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
 def test_csv_unavailable(capsys):
     code, _, err = run_cli(capsys, "--format", "csv", "psi", "ab")
     assert code == 2 and "csv" in err

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import words_of_length
 from diatomic.continuants import fib
+from diatomic import distribution
 from diatomic.distribution import (
     BoundReport,
     _descendants,
@@ -88,11 +89,12 @@ def test_histogram_masses():
         assert h.average_length == Fraction(2 * 3**k, 2**k) == 2 * Fraction(3, 2) ** k
 
 
-def test_histogram_budget():
+def test_histogram_budget(monkeypatch):
     with pytest.raises(BudgetError):
         histogram(30)
+    monkeypatch.setattr(distribution, "MAX_ENUMERATED_ORDER", 4)
     with pytest.raises(BudgetError):
-        histogram(5, max_order=4)
+        histogram(5)
     with pytest.raises(ValueError):
         histogram(-1)
 

@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import words_up_to
+from diatomic import palindromes
 from diatomic.palindromes import (
+    PSI_LENGTH_BUDGET,
     mu,
     min_period_central,
     pal_closure,
@@ -104,11 +106,20 @@ def test_psi_is_palindrome(v):
     assert is_palindrome(psi(v))
 
 
-def test_psi_budget():
+def test_psi_budget(monkeypatch):
+    monkeypatch.setattr(palindromes, "PSI_LENGTH_BUDGET", 10**6)
     with pytest.raises(BudgetError):
-        psi("ab" * 40, max_length=10**6)
-    # the unbudgeted form still works on moderate directives
-    assert len(psi("ab" * 12, max_length=None)) == len(naive_psi("ab" * 12, pal_closure))
+        psi("ab" * 40)
+    # moderate directives fit the budget
+    assert len(psi("ab" * 12)) == len(naive_psi("ab" * 12, pal_closure))
+
+
+def test_psi_prefix_budget():
+    # refused before a letter is grown, so the call returns at once
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        psi_prefix("", "ab", PSI_LENGTH_BUDGET + 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_psi_prefix_fibonacci():

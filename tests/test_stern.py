@@ -1,4 +1,5 @@
 from fractions import Fraction
+from importlib import import_module
 from itertools import combinations
 
 import pytest
@@ -265,9 +266,11 @@ def test_marked_occurrences_all_words():
         assert keys == sorted(keys, reverse=True)
 
 
-def test_marked_occurrences_cap():
+def test_marked_occurrences_cap(monkeypatch):
+    # the package exports the function stern, which hides the module name
+    monkeypatch.setattr(import_module("diatomic.stern"), "MARKED_OCCURRENCE_CAP", 1000)
     with pytest.raises(BudgetError) as err:
-        marked_occurrences("ab" * 30, cap=1000)
+        marked_occurrences("ab" * 30)
     assert "exceed" in str(err.value)
 
 

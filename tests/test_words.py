@@ -1,9 +1,11 @@
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from diatomic import words as words_mod
 from diatomic.words import (
     BudgetError,
     complement,
@@ -178,9 +180,36 @@ def test_subword_occurrences_long_pattern():
     assert subword_occurrences(w, w) == [tuple(range(1, 3001))]
 
 
-def test_subword_occurrence_cap():
+def test_subword_occurrence_cap(monkeypatch):
+    monkeypatch.setattr(words_mod, "OCCURRENCE_CAP", 10)
     with pytest.raises(BudgetError):
-        subword_occurrences("ab" * 30, "ab", cap=10)
+        subword_occurrences("ab" * 30, "ab")
+
+
+def test_subword_occurrences_skip_dead_ends():
+    start = time.perf_counter()
+    # no occurrence, and every choice of the a's is a dead end
+    assert subword_occurrences("a" * 64, "a" * 30 + "b") == []
+    # one occurrence; the a's after the b are all dead ends
+    assert subword_occurrences("a" * 10 + "b" + "a" * 30, "a" * 10 + "b") == [
+        tuple(range(1, 12))
+    ]
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "w, u",
+    [
+        ("a" * 27, "a" * 10),  # 8,436,285 predicted occurrences of 10 positions
+        ("ab" * 2000, "ab" * 2000),  # 16M predictor steps
+    ],
+    ids=["positions", "predictor-steps"],
+)
+def test_subword_occurrence_cap_counts_positions_and_steps(w, u):
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        subword_occurrences(w, u)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_min_period_examples():
