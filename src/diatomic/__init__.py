@@ -39,7 +39,6 @@ from .distribution import (
 )
 from .fracs import Frac, frac, parse_frac
 from .palindromes import (
-    PSI_LENGTH_BUDGET,
     mu,
     min_period_central,
     pal_closure,

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .fracs import Frac
 from . import palindromes
-from .palindromes import period_pair, psi, psi_inverse
+from .palindromes import framed_psi, period_pair, psi_inverse
 from .trees import stern_brocot
 from .words import BudgetError
 
@@ -45,13 +45,32 @@ class ChristoffelWord:
         return self.word
 
 
+def _repeat(word: memoryview, at: int, source: int, size: int, count: int) -> None:
+    # writes count copies of word[source : source + size] from ``at`` on,
+    # each copy doubling the stretch already written
+    word[at : at + size] = word[source : source + size]
+    done, total = size, size * count
+    while done < total:
+        step = min(done, total - done)
+        word[at + done : at + done + step] = word[at : at + step]
+        done += step
+
+
 def christoffel_by_slope(p: int, q: int) -> ChristoffelWord:
-    """Christoffel word of slope p/q built letterwise from the values
-    i*p mod (p+q): positions where the value increases carry a, the
-    others b.  This route never touches palindromization, so it can
-    cross-validate the directive construction.  A central part longer
-    than ``PSI_LENGTH_BUDGET // 8`` letters raises :class:`BudgetError`
-    before any letter is built.
+    """Christoffel word of slope p/q, the label of p/q in the Christoffel
+    tree, built by descending that tree with Euclid's algorithm.
+
+    The node between the Farey parents labelled u (left) and v (right)
+    is labelled uv.  A run of c steps to the left replaces v by u^c v,
+    one of c steps to the right replaces u by u v^c, and c is a Euclid
+    quotient of p and q, so the descent takes one step per quotient.
+    Every u is a prefix and every v a suffix of the word, so both are
+    written in place into one buffer of p + q bytes.  This route never
+    touches palindromization or the directive's periods, so it can
+    cross-validate the directive construction; the directive is read
+    back from the central part by :func:`psi_inverse`.  A central part
+    longer than ``PSI_LENGTH_BUDGET`` letters raises :class:`BudgetError`
+    before anything is allocated.
 
     >>> christoffel_by_slope(4, 7).word
     'aabaabaabab'
@@ -65,32 +84,40 @@ def christoffel_by_slope(p: int, q: int) -> ChristoffelWord:
     if p == 0:
         return ChristoffelWord("a", Frac(0, 1), None)
     n = p + q
-    # the letters are collected as one-letter strings, an 8-byte pointer
-    # each, where psi's budget counts one byte per letter
-    budget = palindromes.PSI_LENGTH_BUDGET // 8
+    budget = palindromes.PSI_LENGTH_BUDGET
     if n - 2 > budget:
         raise BudgetError(
             f"slope {p}/{q} needs a central word of {n - 2} letters, budget is {budget}"
         )
-    letters = []
-    prev = 0
-    for _ in range(n):
-        cur = (prev + p) % n
-        letters.append("a" if cur > prev else "b")
-        prev = cur
-    word = "".join(letters)
-    return ChristoffelWord(word, Frac(p, q), psi_inverse(word[1:-1]))
+    slope = Frac(p, q)
+    word = bytearray(n)
+    word[0], word[-1] = ord("a"), ord("b")
+    left = right = 1  # u = word[:left] and v = word[n - right:], parents 0/1 and 1/0
+    with memoryview(word) as view:
+        while p != q:
+            if p < q:
+                c = (q - 1) // p
+                q -= c * p
+                _repeat(view, n - right - c * left, 0, left, c)
+                right += c * left
+            else:
+                c = (p - 1) // q
+                p -= c * q
+                _repeat(view, left, n - right, right, c)
+                left += c * right
+    text = word.decode()
+    return ChristoffelWord(text, slope, psi_inverse(text, 1, n - 1))
 
 
 def christoffel_by_directive(v: str) -> ChristoffelWord:
-    """Proper Christoffel word a psi(v) b with directive ``v``; :func:`psi`
-    checks its central part against ``PSI_LENGTH_BUDGET`` first.
+    """Proper Christoffel word a psi(v) b with directive ``v``, written
+    into one buffer by :func:`framed_psi`, which checks the central part
+    against ``PSI_LENGTH_BUDGET`` first.
 
     >>> christoffel_by_directive("abaa").word
     'aabaabaabab'
     """
-    word = "a" + psi(v) + "b"
-    return ChristoffelWord(word, stern_brocot(v), v)
+    return ChristoffelWord(framed_psi(v), stern_brocot(v), v)
 
 
 def christoffel_of_word(w: str) -> ChristoffelWord | None:
@@ -98,7 +125,8 @@ def christoffel_of_word(w: str) -> ChristoffelWord | None:
     v = directive_of(w)
     if v is None and w not in ("a", "b"):
         return None
-    return ChristoffelWord(w, Frac(w.count("b"), w.count("a")), v)
+    b = w.count("b")  # every other letter is an a
+    return ChristoffelWord(w, Frac(b, len(w) - b), v)
 
 
 def directive_of(w: str) -> str | None:
@@ -110,7 +138,7 @@ def directive_of(w: str) -> str | None:
     """
     if len(w) < 2 or w[0] != "a" or w[-1] != "b":
         return None
-    return psi_inverse(w[1:-1])
+    return psi_inverse(w, 1, len(w) - 1)
 
 
 def is_central(w: str) -> bool:
@@ -132,18 +160,31 @@ def lyndon_factorization(cw: ChristoffelWord) -> tuple[ChristoffelWord, Christof
     """Standard factorization of a proper Christoffel word into the
     unique pair of shorter Christoffel words w1 < w2 with w = w1 w2.
 
-    The split point is known in closed form: |w1| = p_a(directive) (the
-    factors are directed by the plus-prefix and the dropped-letter
-    directive, dispatched on the last directive letter), so no Lyndon
-    suffix search is needed.  A search-based oracle lives in the tests.
+    Both factors are known in closed form, so neither is read back letter
+    by letter and no Lyndon suffix search is needed (a search-based
+    oracle lives in the tests):
+
+    - the split point is |w1| = p_a(directive);
+    - w1 and w2 label the word's two Farey parents in the Christoffel
+      tree.  A step to the left (a) makes the current node the right
+      parent and a step to the right (b) makes it the left one, so w1 is
+      directed by the part of the directive before its last b and w2 by
+      the part before its last a; a letter that does not occur leaves
+      the single letter a or b;
+    - the first m letters of the word of slope p/q hold
+      floor(m p / (p + q)) letters b, which gives the factors' slopes.
     """
     if not cw.proper:
         raise ValueError(f"single-letter Christoffel word {cw.word} has no factorization")
-    pa, _ = period_pair(cw.directive)
-    left = christoffel_of_word(cw.word[:pa])
-    right = christoffel_of_word(cw.word[pa:])
-    if left is None or right is None:
-        raise AssertionError(f"factorization of {cw.word} failed at {pa}")
+    v = cw.directive
+    pa, _ = period_pair(v)
+    p, q = cw.slope
+    b = pa * p // (p + q)
+    last_b, last_a = v.rfind("b"), v.rfind("a")
+    left = ChristoffelWord(cw.word[:pa], Frac(b, pa - b), v[:last_b] if last_b >= 0 else None)
+    right = ChristoffelWord(
+        cw.word[pa:], Frac(p - b, q - pa + b), v[:last_a] if last_a >= 0 else None
+    )
     return left, right
 
 

@@ -7,14 +7,17 @@ prefix.  Its images are exactly the central words: the palindromic
 prefixes of characteristic Sturmian words, or equivalently the words
 with two coprime periods p, q and length p + q - 2.
 
-Images are built once, on bytes: one loop grows a ``bytearray`` by the
-current minimal period and serves psi, psi_prefix and psi_inverse.
+Images are built on bytes: one loop writes an image into a ``bytearray``
+allocated at its final length, copying the current minimal period within
+it, and serves psi, psi_prefix and framed_psi (the Christoffel word
+a psi(v) b).  psi_inverse builds no image: it reads the directive off
+the word run by run and compares the word with itself in place.
 """
 
 from __future__ import annotations
 
-from itertools import chain, cycle, takewhile
-from typing import Iterable, Iterator
+from itertools import chain, cycle
+from typing import Iterable
 
 from .words import BudgetError, complement
 
@@ -77,22 +80,47 @@ def period_pair(v: str) -> tuple[int, int]:
     return pa, pb
 
 
-def _grow(image: bytearray, letters: Iterable[str]) -> None:
-    # the one growth loop: extends the empty ``image`` by the closure of
-    # each letter in turn, that is by the new minimal period p.  Letters
-    # are drawn lazily, so a source may read ``image`` to choose or stop.
+#: Images longer than this many letters copy their periods through a
+#: ``memoryview``; shorter ones through slices of the ``bytearray``,
+#: which cost less per copy.  It is also the most letters that
+#: psi_inverse copies into one temporary slice, so that each one reuses
+#: memory the allocator already holds.
+_BLOCK = 1 << 16
+
+
+def _fill(image: bytearray, letters: Iterable[str], start: int, stop: int) -> None:
+    # the one growth loop: writes the image of the directive ``letters``
+    # into image[start:stop] (not empty), each letter extending it by the
+    # new minimal period p, and returns once the stretch is full
+    buffer = memoryview(image) if stop - start > _BLOCK else image
     pa = pb = 1
+    n = start
     for x in letters:
         if x == "a":
             p, pb = pa, pa + pb
         else:
             p, pa = pb, pa + pb
-        n = len(image)
-        if p == n + 1:  # x has not occurred yet: the closure is w x w
-            image.append(ord(x))
-            image += image[:n]
-        else:  # the new letters repeat with period p
-            image += image[n - p :]
+        end = n + p
+        if p == n - start + 1:  # x has not occurred yet: the closure is w x w
+            image[n] = ord(x)
+            n += 1
+        # the new letters repeat the last p
+        if end >= stop:  # the last letter, or the one psi_prefix stops inside
+            buffer[n:stop] = buffer[n - p : stop - p]
+            return
+        buffer[n:end] = buffer[n - p : end - p]
+        n = end
+
+
+def _image_length(v: str) -> int:
+    # len(psi(v)), checked against the budget before anything is built
+    pa, pb = period_pair(v)
+    length = pa + pb - 2
+    if length > PSI_LENGTH_BUDGET:
+        raise BudgetError(
+            f"palindromization image has {length} letters, budget is {PSI_LENGTH_BUDGET}"
+        )
+    return length
 
 
 def psi(v: str) -> str:
@@ -100,21 +128,31 @@ def psi(v: str) -> str:
 
     Each step extends the current palindrome by exactly its new minimal
     period, so the whole image is built in time linear in its length
-    instead of rescanning for palindromic suffixes.  When the predicted
-    image length exceeds ``PSI_LENGTH_BUDGET`` a :class:`BudgetError` is
-    raised before any letters are produced.
+    instead of rescanning for palindromic suffixes.  The image length
+    pa + pb - 2 is known first: when it exceeds ``PSI_LENGTH_BUDGET`` a
+    :class:`BudgetError` is raised before anything is allocated, and
+    otherwise the image is written into one buffer of its final size.
 
     >>> psi("aba")
     'abaaba'
     """
-    pa, pb = period_pair(v)
-    if pa + pb - 2 > PSI_LENGTH_BUDGET:
-        raise BudgetError(
-            f"palindromization image has {pa + pb - 2} letters, "
-            f"budget is {PSI_LENGTH_BUDGET}"
-        )
-    image = bytearray()
-    _grow(image, v)
+    length = _image_length(v)
+    image = bytearray(length)
+    _fill(image, v, 0, length)
+    return image.decode()
+
+
+def framed_psi(v: str) -> str:
+    """The Christoffel word a psi(v) b, written into one buffer and
+    decoded once, with psi's budget check first.
+
+    >>> framed_psi("abaa")
+    'aabaabaabab'
+    """
+    length = _image_length(v)
+    image = bytearray(length + 2)
+    image[0], image[-1] = ord("a"), ord("b")
+    _fill(image, v, 1, length + 1)
     return image.decode()
 
 
@@ -133,34 +171,90 @@ def psi_prefix(preperiod: str, period: str, n: int) -> str:
         raise BudgetError(
             f"palindromization image has {n} letters, budget is {PSI_LENGTH_BUDGET}"
         )
-    image = bytearray()
-    directive = chain(preperiod, cycle(period))
-    _grow(image, takewhile(lambda _: len(image) < n, directive))
-    return image[:n].decode()
+    image = bytearray(n)
+    if n:
+        _fill(image, chain(preperiod, cycle(period)), 0, n)
+    return image.decode()
 
 
-def psi_inverse(w: str) -> str | None:
+def _run_length(w: str, i: int, stop: int, p: int, other: str) -> int:
+    # how many of w[i], w[i + p], w[i + 2p], ... before ``stop`` come
+    # before the first ``other``, read in strided slices of growing size
+    count, size = 0, 32
+    while True:
+        first = i + count * p
+        last = first + size * p
+        chunk = w[first : last if last < stop else stop : p]
+        j = chunk.find(other)
+        if j >= 0:
+            return count + j
+        count += len(chunk)
+        if last >= stop:
+            return count
+        if size < _BLOCK:
+            size *= 2
+
+
+def _has_period(w: str, start: int, stop: int, p: int) -> bool:
+    # w[start:stop] repeats with period p, compared a block at a time
+    for i in range(start + p, stop, _BLOCK):
+        j = i + _BLOCK if i + _BLOCK < stop else stop
+        if not w.startswith(w[i - p : j - p], i):
+            return False
+    return True
+
+
+def psi_inverse(w: str, start: int = 0, stop: int | None = None) -> str | None:
     """Directive word of a central word, or None when ``w`` is not central.
 
-    Every palindromic prefix of a central word is itself the image of a
-    directive prefix, so the directive is read off while the image
-    grows: each directive letter is the letter of ``w`` right after the
-    image built so far.  The input is central exactly when the finished
-    image equals ``w``.
+    ``start`` and ``stop`` (0 <= start <= stop <= len(w)) read
+    ``w[start:stop]`` in place, without copying it.  Every palindromic
+    prefix of a central word is the image of a directive prefix, so each
+    directive letter x is the letter right after the image read so far,
+    and it extends the image by the period p_x.  The directive is read
+    run by run: a run of x lasts while every p_x-th letter repeats it.
+    The word is then central exactly when the image ends at its last
+    letter and the word has both periods p_a and p_b: a word of length
+    p_a + p_b - 2 with both periods is fixed by two letters (Fine and
+    Wilf), its first letter and the first occurrence of the other, and
+    both were read.  Words with a letter other than a and b are not
+    central.
 
     >>> psi_inverse("abaaba")
     'aba'
     """
-    image = bytearray()
-    directive: list[str] = []
-
-    def reading() -> Iterator[str]:
-        while len(image) < len(w):
-            directive.append(w[len(image)])
-            yield directive[-1]
-
-    _grow(image, reading())
-    return "".join(directive) if image == w.encode() else None
+    if stop is None:
+        stop = len(w)
+    if not 0 <= start <= stop <= len(w):
+        raise ValueError(f"bounds {start}:{stop} outside a word of {len(w)} letters")
+    runs = []
+    pa = pb = 1
+    n = start
+    while n < stop:
+        x = w[n]
+        if x == "a":
+            p, other = pa, "b"
+        elif x == "b":
+            p, other = pb, "a"
+        else:
+            return None
+        # the run: how many of w[n], w[n + p], ... come before the first
+        # other letter; a letter that is neither counts as x here and
+        # fails the period check
+        last = n + 16 * p
+        chunk = w[n : last if last < stop else stop : p]
+        c = chunk.find(other)
+        if c < 0:
+            c = len(chunk) if last >= stop else 16 + _run_length(w, last, stop, p, other)
+        runs.append(x * c)
+        if x == "a":
+            pb += c * pa
+        else:
+            pa += c * pb
+        n += c * p
+    if n > stop or not (_has_period(w, start, stop, pa) and _has_period(w, start, stop, pb)):
+        return None
+    return "".join(runs)
 
 
 def mu(v: str, w: str) -> str:

@@ -1,6 +1,9 @@
+import tracemalloc
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import words_up_to
 from diatomic.christoffel import (
@@ -18,6 +21,19 @@ from diatomic.christoffel import (
 from diatomic import palindromes
 from diatomic.palindromes import PSI_LENGTH_BUDGET, min_period_central, period_pair, psi
 from diatomic.words import BudgetError, complement, is_lyndon, min_period, reverse
+
+
+def letterwise_christoffel(p, q):
+    """Christoffel word of slope p/q read off the values i*p mod (p+q):
+    positions where the value increases carry a, the others b."""
+    n = p + q
+    letters = []
+    prev = 0
+    for _ in range(n):
+        cur = (prev + p) % n
+        letters.append("a" if cur > prev else "b")
+        prev = cur
+    return "".join(letters)
 
 
 def brute_standard_factorization(w):
@@ -76,13 +92,70 @@ def test_slope_errors():
 
 
 def test_both_routes_read_the_one_psi_budget(monkeypatch):
-    # 80 letters: psi keeps 80, the slope route an eighth of them
+    # 80 letters: both routes hold one byte per letter and keep all 80
     monkeypatch.setattr(palindromes, "PSI_LENGTH_BUDGET", 80)
     with pytest.raises(BudgetError):
         christoffel_by_directive("ab" * 5)  # 231-letter central part
     with pytest.raises(BudgetError):
-        christoffel_by_slope(1, 12)  # 11-letter central part
-    assert christoffel_by_slope(1, 11).word == "a" * 11 + "b"
+        christoffel_by_slope(1, 82)  # 81-letter central part
+    assert christoffel_by_slope(1, 81).word == "a" * 81 + "b"
+
+
+def test_refused_slope_allocates_nothing():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            christoffel_by_slope(1, PSI_LENGTH_BUDGET + 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_descent_matches_letterwise_oracle():
+    for n in range(2, 301):
+        for p in range(1, n):
+            if gcd(p, n) == 1:
+                assert christoffel_by_slope(p, n - p).word == letterwise_christoffel(p, n - p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10**6), st.integers(1, 10**6 - 1))
+def test_descent_matches_letterwise_oracle_on_long_slopes(n, p):
+    p = p % (n - 1) + 1
+    if gcd(p, n) == 1:
+        assert christoffel_by_slope(p, n - p).word == letterwise_christoffel(p, n - p)
+
+
+@pytest.mark.parametrize("p, q", [(3524578, 5702887), (1, 10**6), (10**6, 1), (1, 2)])
+def test_descent_on_golden_and_extreme_slopes(p, q):
+    cw = christoffel_by_slope(p, q)
+    assert cw.word == letterwise_christoffel(p, q)
+    assert cw.directive is not None and len(cw.word) == p + q
+
+
+def test_descent_is_independent_of_the_directive_routes(monkeypatch):
+    # the descent spells Euclid out itself: no palindromization, periods,
+    # continued fractions or tree labels
+    from diatomic import christoffel, continuants, trees
+
+    def forbidden(*args):
+        raise AssertionError("the slope route reached another route")
+
+    for module, name in (
+        (palindromes, "psi"),
+        (palindromes, "framed_psi"),
+        (palindromes, "period_pair"),
+        (christoffel, "period_pair"),
+        (christoffel, "framed_psi"),
+        (continuants, "cf_terms"),
+        (trees, "stern_brocot"),
+        (christoffel, "stern_brocot"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
+    for p, q in ((4, 7), (3524578, 5702887), (1, 1000), (999, 1)):
+        cw = christoffel_by_slope(p, q)
+        assert cw.word == letterwise_christoffel(p, q)
 
 
 def test_directive_construction():
@@ -158,6 +231,16 @@ def test_factorization_matches_brute_search():
         assert (w1.word, w2.word) == brute_standard_factorization(cw.word)
         assert w1.word < w2.word
         assert (len(w1.word), len(w2.word)) == period_pair(v)
+        # the closed-form slopes and directives of the factors agree
+        # with reading each factor back as a Christoffel word
+        assert (w1, w2) == (christoffel_of_word(w1.word), christoffel_of_word(w2.word))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(alphabet="ab", min_size=11, max_size=24))
+def test_factor_slopes_and_directives_match_recognition_long(v):
+    w1, w2 = lyndon_factorization(christoffel_by_directive(v))
+    assert (w1, w2) == (christoffel_of_word(w1.word), christoffel_of_word(w2.word))
 
 
 def test_christoffel_words_are_lyndon():

@@ -87,9 +87,8 @@ def test_christoffel_noncoprime(capsys):
 
 
 def test_christoffel_slope_budget(capsys):
-    # 1/134217731 has 134217729 central letters: inside PSI_LENGTH_BUDGET,
-    # past the eighth of it that the slope route's list of letters may use
-    for slope in ("1/2000000000", "1/134217731"):
+    # 1/1073741827 has 1073741826 central letters, two past PSI_LENGTH_BUDGET
+    for slope in ("1/2000000000", "1/1073741827"):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "christoffel", "--slope", slope)
         assert code == 4 and out == "" and "budget" in err

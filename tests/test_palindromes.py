@@ -44,6 +44,26 @@ def longest_palindromic_suffix(w):
     return 0
 
 
+def growing_psi_inverse(w):
+    """Directive read letter by letter while the image grows: each letter
+    of w right after the image so far is the next directive letter, and
+    w is central exactly when the finished image equals w.  Central
+    words are words over a and b."""
+    if set(w) - {"a", "b"}:
+        return None
+    image, pa, pb, directive = "", 1, 1, []
+    while len(image) < len(w):
+        x = w[len(image)]
+        directive.append(x)
+        p = pa if x == "a" else pb
+        image = image + x + image if p == len(image) + 1 else image + image[len(image) - p :]
+        if x == "a":
+            pb += pa
+        else:
+            pa += pb
+    return "".join(directive) if image == w else None
+
+
 def naive_psi(v, closure=brute_closure):
     w = ""
     for x in v:
@@ -114,6 +134,18 @@ def test_psi_budget(monkeypatch):
     assert len(psi("ab" * 12)) == len(naive_psi("ab" * 12, pal_closure))
 
 
+def test_psi_budget_has_one_handle(monkeypatch):
+    # a package-level copy would be a value no guard reads
+    import diatomic
+
+    assert not hasattr(diatomic, "PSI_LENGTH_BUDGET")
+    monkeypatch.setattr(diatomic.palindromes, "PSI_LENGTH_BUDGET", 10)
+    with pytest.raises(BudgetError):
+        diatomic.psi("ab" * 5)
+    with pytest.raises(BudgetError):
+        diatomic.christoffel_by_slope(1, 13)
+
+
 def test_psi_prefix_budget():
     # refused before a letter is grown, so the call returns at once
     start = time.perf_counter()
@@ -156,6 +188,60 @@ def test_psi_inverse_all_short_words():
     directive_of = {psi(v): v for v in words_up_to(12)}
     for w in words_up_to(12):
         assert psi_inverse(w) == directive_of.get(w)
+
+
+def test_psi_inverse_rejects_an_image_that_overshoots():
+    # reading "aab" gives a, a, then b with period 3: the image aabaa
+    # runs two letters past the word
+    assert psi_inverse("aab") is None
+    central = {psi(v): v for v in words_up_to(12)}
+    for v in words_up_to(8):
+        w = psi(v)
+        for cut in range(1, len(w)):
+            assert psi_inverse(w[:-cut]) == central.get(w[:-cut])
+
+
+def test_psi_inverse_catches_a_mismatch_in_the_last_period():
+    # |psi(v)| >= |v|, so this holds every central word of up to 12 letters
+    central = {psi(v): v for v in words_up_to(12)}
+    for w in [w for w in central if len(w) <= 12]:
+        p = min_period(w) if w else 0
+        for i in range(len(w) - p, len(w)):
+            flipped = w[:i] + complement(w[i]) + w[i + 1 :]
+            assert psi_inverse(flipped) == central.get(flipped)
+
+
+@pytest.mark.parametrize("w", ["c", "ac", "aca", "cac", "abc", "abcaba", "€", "a€a", "aba\n"])
+def test_psi_inverse_rejects_other_letters(w):
+    assert psi_inverse(w) is None
+
+
+def test_psi_inverse_reads_in_place():
+    assert psi_inverse("xabaabay", 1, 7) == "aba"
+    assert psi_inverse("xabaabay", 1, 1) == ""
+    assert psi_inverse("abaaba", 2) is None
+    for bounds in ((-1, 3), (4, 3), (0, 7)):
+        with pytest.raises(ValueError):
+            psi_inverse("abaaba", *bounds)
+
+
+def test_psi_inverse_long_runs():
+    # one directive letter per image letter: read run by run, not letter by letter
+    assert psi_inverse("a" * 10**6) == "a" * 10**6
+    assert psi_inverse("b" * 10**6 + "c") is None
+    v = "b" + "a" * 3000 + "b" * 2 + "a"
+    assert psi_inverse(psi(v)) == v
+
+
+@given(st.text(alphabet="ab", max_size=24), st.integers(0, 10**6), st.sampled_from("abc"))
+def test_psi_inverse_matches_growing_reader_near_central_words(v, at, letter):
+    w = psi(v)
+    for candidate in (w, w[: at % (len(w) + 1)], w + letter, w[: at % (len(w) + 1)] + letter):
+        assert psi_inverse(candidate) == growing_psi_inverse(candidate)
+    if w:
+        i = at % len(w)
+        flipped = w[:i] + letter + w[i + 1 :]
+        assert psi_inverse(flipped) == growing_psi_inverse(flipped)
 
 
 def test_psi_inverse_roundtrip():
