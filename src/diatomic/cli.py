@@ -15,6 +15,9 @@ tool can be scripted:
 Words are written over {a, b}, or over {0, 1} with ``--alphabet 01``;
 the empty word is written ``eps``.  JSON output always uses the a/b
 spelling so that parsed values round-trip through the library.
+
+``main`` builds its parser once per process, on its first call, so a
+further in-process call costs only parsing and its handler.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import csv
 import json
 import os
 import sys
+from functools import cache
 from typing import Any, Callable, Sequence
 
 from . import verify as verify_mod
@@ -150,6 +154,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=_bound, default=verify_mod.DEFAULT_MAX_N)
 
     return parser
+
+
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # main's parser, built on its first call rather than at import;
+    # argparse keeps no state between parses and writes to sys.stdout
+    # and sys.stderr as they are at call time, so one parser serves all
+    return build_parser()
 
 
 def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict,
@@ -373,7 +385,7 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except _ParseFailure as exc:

@@ -193,16 +193,21 @@ def counts_for_length(n: int) -> dict[int, int]:
     Each order-k Christoffel word of length n corresponds to a coprime
     period pair (p, n - p), and the order is the tree depth of p/(n - p):
     the sum of its continued-fraction terms, less one.  So one pass over
-    the phi(n) residues settles every k at once.
+    the phi(n) residues settles every k at once.  For n >= 3 the residues
+    p and n - p are distinct, and cf_terms(p, n - p) is
+    [0] + cf_terms(n - p, p), so both have the same order: the pass reads
+    p < n/2 only and counts each residue twice.
     The values sum to Euler's totient of n.
     """
     if n < 2:
         raise ValueError("proper Christoffel words have length at least 2")
+    if n == 2:
+        return {0: 1}
     counts: dict[int, int] = {}
-    for p in range(1, n):
+    for p in range(1, (n + 1) // 2):
         if gcd(p, n) == 1:
             k = sum(cf_terms(p, n - p)) - 1
-            counts[k] = counts.get(k, 0) + 1
+            counts[k] = counts.get(k, 0) + 2
     return dict(sorted(counts.items()))
 
 

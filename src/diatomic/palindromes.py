@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import chain, cycle
 from typing import Iterable
 
-from .words import BudgetError, complement
+from .words import BudgetError, check_word, complement
 
 #: Ceiling (in letters) for materialized palindromization images.
 #: Image length is Fibonacci-like in the directive length, so this guards
@@ -113,8 +113,9 @@ def _fill(image: bytearray, letters: Iterable[str], start: int, stop: int) -> No
 
 
 def _image_length(v: str) -> int:
-    # len(psi(v)), checked against the budget before anything is built
-    pa, pb = period_pair(v)
+    # len(psi(v)), with v checked to be over {a, b} and the length
+    # checked against the budget, before anything is built
+    pa, pb = period_pair(check_word(v))
     length = pa + pb - 2
     if length > PSI_LENGTH_BUDGET:
         raise BudgetError(
@@ -128,8 +129,9 @@ def psi(v: str) -> str:
 
     Each step extends the current palindrome by exactly its new minimal
     period, so the whole image is built in time linear in its length
-    instead of rescanning for palindromic suffixes.  The image length
-    pa + pb - 2 is known first: when it exceeds ``PSI_LENGTH_BUDGET`` a
+    instead of rescanning for palindromic suffixes.  A directive with a
+    letter other than a and b raises ValueError.  The image length
+    pa + pb - 2 is known next: when it exceeds ``PSI_LENGTH_BUDGET`` a
     :class:`BudgetError` is raised before anything is allocated, and
     otherwise the image is written into one buffer of its final size.
 
@@ -144,7 +146,7 @@ def psi(v: str) -> str:
 
 def framed_psi(v: str) -> str:
     """The Christoffel word a psi(v) b, written into one buffer and
-    decoded once, with psi's budget check first.
+    decoded once, with psi's letter and budget checks first.
 
     >>> framed_psi("abaa")
     'aabaabaabab'
@@ -161,12 +163,15 @@ def psi_prefix(preperiod: str, period: str, n: int) -> str:
     directive word ``preperiod . period . period ...``.
 
     With empty preperiod and period ``ab`` this produces prefixes of the
-    Fibonacci word abaababaabaab...  ``n`` must not exceed ``PSI_LENGTH_BUDGET``.
+    Fibonacci word abaababaabaab...  Both words must be over {a, b}, and
+    ``n`` must not exceed ``PSI_LENGTH_BUDGET``.
     """
     if n < 0:
         raise ValueError("prefix length must be non-negative")
     if not period:
         raise ValueError("period word must be non-empty")
+    check_word(preperiod)
+    check_word(period)
     if n > PSI_LENGTH_BUDGET:
         raise BudgetError(
             f"palindromization image has {n} letters, budget is {PSI_LENGTH_BUDGET}"

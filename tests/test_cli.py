@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +7,7 @@ import time
 
 import pytest
 
+from diatomic import cli
 from diatomic.cli import main
 from diatomic.stern import ZETA_ARGUMENT_CAP
 
@@ -333,3 +336,92 @@ def test_closed_stdout_pipe_ends_without_traceback():
         stderr = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 1
     assert stderr == ""  # no traceback, and no complaint from the final flush
+
+
+def outcome(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, with both streams
+    redirected to fresh buffers for this call alone, as an embedding
+    program would capture them."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def fresh_outcomes(monkeypatch, argvs):
+    """What each call gives when ``main`` builds a new parser for it."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        return [outcome(argv) for argv in argvs]
+
+
+@pytest.fixture
+def cold_parser():
+    # main's shared parser is built again by the first call of the test
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_main_builds_its_parser_once(monkeypatch, cold_parser):
+    build_parser = cli.build_parser
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    assert outcome(["psi", "aba"])[0] == 0
+    assert len(built) == 1
+    for argv in (["stern", "23"], ["--format", "json", "dist", "5"], ["psi", "abc"], ["bogus"]):
+        outcome(argv)
+    assert len(built) == 1
+    # the public builder still hands out a new parser on every call
+    assert build_parser() is not build_parser()
+
+
+# formats, alphabets, optional positionals and argparse's own errors in
+# one order, so that any option a call leaves behind would reach the next
+MIXED_CALLS = [
+    ["--format", "json", "psi", "aba"],
+    ["--format", "csv", "dist", "5"],
+    ["--alphabet", "01", "psi", "010"],
+    ["psi", "aba"],
+    ["tree", "abba"],
+    ["tree", "--fraction", "4/7"],
+    ["tree", "--fraction", "4/7", "--flavor", "sternbrocot"],
+    ["tree", "abba"],
+    ["verify", "--max-k", "3", "--max-n", "10"],
+    ["--format", "csv", "verify", "--max-k", "3", "--max-n", "10"],
+    ["bogus"],
+    ["christoffel", "--slope", "1/2", "--directive", "ab"],
+    ["--alphabet", "01", "christoffel", "--directive", "01"],
+    ["christoffel", "--slope", "2/3"],
+    ["verify", "--max-k", "-1"],
+    ["--format", "json", "stern", "23", "--method", "all"],
+    ["stern", "23"],
+    ["--format", "csv", "psi", "ab"],
+    [],
+    ["--format", "text", "dist", "4"],
+]
+
+
+def test_shared_parser_keeps_no_state_between_calls(monkeypatch, cold_parser):
+    shared = [outcome(argv) for argv in MIXED_CALLS]
+    assert shared == fresh_outcomes(monkeypatch, MIXED_CALLS)
+    codes = [code for code, _, _ in shared]
+    assert codes.count(2) == 5  # four argparse errors and csv output of psi
+    assert shared[3] == (0, "abaaba (|.|=6, p_a=3, p_b=5)\n", "")
+    assert shared[7] == shared[4] and shared[6] != shared[5]
+
+
+def test_shared_parser_help_matches_a_fresh_parser(monkeypatch, cold_parser):
+    argvs = [["--help"]] + [[command, "--help"] for command in cli._HANDLERS]
+    shared = [outcome(argv) for argv in argvs]
+    assert shared == fresh_outcomes(monkeypatch, argvs)
+    assert all(code == 0 and out.startswith("usage: diatomic") and not err
+               for code, out, err in shared)

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from conftest import words_of_length
-from diatomic.continuants import fib
+from diatomic.continuants import cf_terms, fib
 from diatomic import distribution
 from diatomic.distribution import (
     BoundReport,
@@ -179,6 +180,20 @@ def test_counts_for_length_matches_histograms():
         per_k = counts_for_length(n)
         for k in range(15):
             assert per_k.get(k, 0) == by_order[k].get(n, 0)
+
+
+def test_counts_for_length_matches_full_residue_loop():
+    # the oracle reads every residue 1 <= p < n, where counts_for_length
+    # reads p < n/2 and counts each twice
+    for n in range(2, 2001):
+        counts = {}
+        for p in range(1, n):
+            if gcd(p, n) == 1:
+                k = sum(cf_terms(p, n - p)) - 1
+                counts[k] = counts.get(k, 0) + 1
+        expected = dict(sorted(counts.items()))
+        got = counts_for_length(n)
+        assert list(got.items()) == list(expected.items()), n
 
 
 def test_counts_for_length_example():

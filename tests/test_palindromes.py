@@ -175,6 +175,22 @@ def test_psi_prefix_errors():
         psi_prefix("a", "", 5)
 
 
+@pytest.mark.parametrize("w", ["ac", "€", "a b"])
+def test_image_builders_reject_other_letters(monkeypatch, w):
+    # checked before the budget: a word that would also be over budget
+    # is refused for its letters
+    monkeypatch.setattr(palindromes, "PSI_LENGTH_BUDGET", 1)
+    calls = [
+        lambda: psi(w),
+        lambda: palindromes.framed_psi(w),
+        lambda: psi_prefix(w, "ab", 5),
+        lambda: psi_prefix("ab", w, 5),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="not a word over"):
+            call()
+
+
 def test_psi_inverse_examples():
     assert psi_inverse("abaaba") == "aba"
     assert psi_inverse("") == ""
