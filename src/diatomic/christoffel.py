@@ -65,12 +65,13 @@ def christoffel_by_slope(p: int, q: int) -> ChristoffelWord:
     one of c steps to the right replaces u by u v^c, and c is a Euclid
     quotient of p and q, so the descent takes one step per quotient.
     Every u is a prefix and every v a suffix of the word, so both are
-    written in place into one buffer of p + q bytes.  This route never
-    touches palindromization or the directive's periods, so it can
-    cross-validate the directive construction; the directive is read
-    back from the central part by :func:`psi_inverse`.  A central part
-    longer than ``PSI_LENGTH_BUDGET`` letters raises :class:`BudgetError`
-    before anything is allocated.
+    written in place into one buffer of p + q bytes.  The steps are the
+    word's path in the tree, so the runs a^c (left) and b^c (right)
+    spell its directive as the descent goes.  This route never touches
+    palindromization or the directive's periods, so it can cross-validate
+    the directive construction.  A central part longer than
+    ``PSI_LENGTH_BUDGET`` letters raises :class:`BudgetError` before
+    anything is allocated.
 
     >>> christoffel_by_slope(4, 7).word
     'aabaabaabab'
@@ -93,6 +94,7 @@ def christoffel_by_slope(p: int, q: int) -> ChristoffelWord:
     word = bytearray(n)
     word[0], word[-1] = ord("a"), ord("b")
     left = right = 1  # u = word[:left] and v = word[n - right:], parents 0/1 and 1/0
+    runs = []
     with memoryview(word) as view:
         while p != q:
             if p < q:
@@ -100,13 +102,14 @@ def christoffel_by_slope(p: int, q: int) -> ChristoffelWord:
                 q -= c * p
                 _repeat(view, n - right - c * left, 0, left, c)
                 right += c * left
+                runs.append("a" * c)
             else:
                 c = (p - 1) // q
                 p -= c * q
                 _repeat(view, left, n - right, right, c)
                 left += c * right
-    text = word.decode()
-    return ChristoffelWord(text, slope, psi_inverse(text, 1, n - 1))
+                runs.append("b" * c)
+    return ChristoffelWord(word.decode(), slope, "".join(runs))
 
 
 def christoffel_by_directive(v: str) -> ChristoffelWord:
@@ -138,7 +141,7 @@ def directive_of(w: str) -> str | None:
     """
     if len(w) < 2 or w[0] != "a" or w[-1] != "b":
         return None
-    return psi_inverse(w, 1, len(w) - 1)
+    return psi_inverse(w[1:-1])
 
 
 def is_central(w: str) -> bool:

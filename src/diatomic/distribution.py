@@ -304,20 +304,16 @@ def bound_report(k: int) -> BoundReport:
     )
 
 
-def _golden_convergents(digits: int = 40) -> tuple[Fraction, Fraction]:
+def _golden_upper() -> Fraction:
     # adjacent Fibonacci quotients bracket the golden ratio; push until
-    # the gap 1/(F_m F_{m+1}) is below 10^-digits
-    bound = 10**digits
+    # the gap 1/(F_m F_{m+1}) is below 10^-40 and keep the larger one
     prev, cur = 1, 1
-    while prev * cur < bound:
+    while prev * cur < 10**40:
         prev, cur = cur, prev + cur
-    low, high = Fraction(cur, prev), Fraction(cur + prev, cur)
-    if low > high:
-        low, high = high, low
-    return low, high
+    return max(Fraction(cur, prev), Fraction(cur + prev, cur))
 
 
-_GOLDEN_LOW, _GOLDEN_HIGH = _golden_convergents()
+_GOLDEN_HIGH = _golden_upper()
 
 
 def max_count_lower_bound(k: int) -> Fraction:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import chain, cycle
 from typing import Iterable
 
-from .words import BudgetError, check_word, complement
+from .words import BudgetError, _borders, check_word, complement
 
 #: Ceiling (in letters) for materialized palindromization images.
 #: Image length is Fibonacci-like in the directive length, so this guards
@@ -42,14 +42,7 @@ def pal_closure(w: str) -> str:
     'abaaba'
     """
     r = w[::-1]
-    border = [0]
-    k = 0
-    for c in r[1:]:
-        while k and c != r[k]:
-            k = border[k - 1]
-        if c == r[k]:
-            k += 1
-        border.append(k)
+    border = _borders(r)
     k = 0
     for c in w:
         while k and c != r[k]:
@@ -112,16 +105,20 @@ def _fill(image: bytearray, letters: Iterable[str], start: int, stop: int) -> No
         n = end
 
 
-def _image_length(v: str) -> int:
-    # len(psi(v)), with v checked to be over {a, b} and the length
-    # checked against the budget, before anything is built
-    pa, pb = period_pair(check_word(v))
-    length = pa + pb - 2
+def _check_budget(length: int) -> int:
+    # ``length``, after checking it against ``PSI_LENGTH_BUDGET``
     if length > PSI_LENGTH_BUDGET:
         raise BudgetError(
             f"palindromization image has {length} letters, budget is {PSI_LENGTH_BUDGET}"
         )
     return length
+
+
+def _image_length(v: str) -> int:
+    # len(psi(v)), with v checked to be over {a, b} and the length
+    # checked against the budget, before anything is built
+    pa, pb = period_pair(check_word(v))
+    return _check_budget(pa + pb - 2)
 
 
 def psi(v: str) -> str:
@@ -172,20 +169,17 @@ def psi_prefix(preperiod: str, period: str, n: int) -> str:
         raise ValueError("period word must be non-empty")
     check_word(preperiod)
     check_word(period)
-    if n > PSI_LENGTH_BUDGET:
-        raise BudgetError(
-            f"palindromization image has {n} letters, budget is {PSI_LENGTH_BUDGET}"
-        )
-    image = bytearray(n)
+    image = bytearray(_check_budget(n))
     if n:
         _fill(image, chain(preperiod, cycle(period)), 0, n)
     return image.decode()
 
 
-def _run_length(w: str, i: int, stop: int, p: int, other: str) -> int:
-    # how many of w[i], w[i + p], w[i + 2p], ... before ``stop`` come
-    # before the first ``other``, read in strided slices of growing size
-    count, size = 0, 32
+def _run_length(w: str, i: int, p: int, other: str) -> int:
+    # how many of w[i], w[i + p], w[i + 2p], ... come before the first
+    # ``other``, read in strided slices of growing size
+    stop = len(w)
+    count, size = 0, 16
     while True:
         first = i + count * p
         last = first + size * p
@@ -200,42 +194,37 @@ def _run_length(w: str, i: int, stop: int, p: int, other: str) -> int:
             size *= 2
 
 
-def _has_period(w: str, start: int, stop: int, p: int) -> bool:
-    # w[start:stop] repeats with period p, compared a block at a time
-    for i in range(start + p, stop, _BLOCK):
+def _has_period(w: str, p: int) -> bool:
+    # w repeats with period p, compared a block at a time
+    stop = len(w)
+    for i in range(p, stop, _BLOCK):
         j = i + _BLOCK if i + _BLOCK < stop else stop
         if not w.startswith(w[i - p : j - p], i):
             return False
     return True
 
 
-def psi_inverse(w: str, start: int = 0, stop: int | None = None) -> str | None:
+def psi_inverse(w: str) -> str | None:
     """Directive word of a central word, or None when ``w`` is not central.
 
-    ``start`` and ``stop`` (0 <= start <= stop <= len(w)) read
-    ``w[start:stop]`` in place, without copying it.  Every palindromic
-    prefix of a central word is the image of a directive prefix, so each
-    directive letter x is the letter right after the image read so far,
-    and it extends the image by the period p_x.  The directive is read
-    run by run: a run of x lasts while every p_x-th letter repeats it.
-    The word is then central exactly when the image ends at its last
-    letter and the word has both periods p_a and p_b: a word of length
-    p_a + p_b - 2 with both periods is fixed by two letters (Fine and
-    Wilf), its first letter and the first occurrence of the other, and
-    both were read.  Words with a letter other than a and b are not
-    central.
+    Every palindromic prefix of a central word is the image of a
+    directive prefix, so each directive letter x is the letter right
+    after the image read so far, and it extends the image by the period
+    p_x.  The directive is read run by run: a run of x lasts while every
+    p_x-th letter repeats it, read in strided slices.  The word is then
+    central exactly when the image ends at its last letter and the word
+    has both periods p_a and p_b: a word of length p_a + p_b - 2 with
+    both periods is fixed by two letters (Fine and Wilf), its first
+    letter and the first occurrence of the other, and both were read.
+    Words with a letter other than a and b are not central.
 
     >>> psi_inverse("abaaba")
     'aba'
     """
-    if stop is None:
-        stop = len(w)
-    if not 0 <= start <= stop <= len(w):
-        raise ValueError(f"bounds {start}:{stop} outside a word of {len(w)} letters")
     runs = []
     pa = pb = 1
-    n = start
-    while n < stop:
+    n = 0
+    while n < len(w):
         x = w[n]
         if x == "a":
             p, other = pa, "b"
@@ -243,21 +232,16 @@ def psi_inverse(w: str, start: int = 0, stop: int | None = None) -> str | None:
             p, other = pb, "a"
         else:
             return None
-        # the run: how many of w[n], w[n + p], ... come before the first
-        # other letter; a letter that is neither counts as x here and
-        # fails the period check
-        last = n + 16 * p
-        chunk = w[n : last if last < stop else stop : p]
-        c = chunk.find(other)
-        if c < 0:
-            c = len(chunk) if last >= stop else 16 + _run_length(w, last, stop, p, other)
+        # a letter that is neither counts as x in the run and fails the
+        # period check
+        c = _run_length(w, n, p, other)
         runs.append(x * c)
         if x == "a":
             pb += c * pa
         else:
             pa += c * pb
         n += c * p
-    if n > stop or not (_has_period(w, start, stop, pa) and _has_period(w, start, stop, pb)):
+    if n > len(w) or not (_has_period(w, pa) and _has_period(w, pb)):
         return None
     return "".join(runs)
 

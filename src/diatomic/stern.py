@@ -16,6 +16,7 @@ lengths.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -295,7 +296,12 @@ def marked_occurrences(w: str) -> tuple[str, list[MarkedOccurrence]]:
     table is a standard word in disguise.  The number of rows equals the
     Christoffel length of w, which is checked against
     ``MARKED_OCCURRENCE_CAP`` before enumerating.  Reversed keys compare
-    as tuples, a proper prefix ranking below its extensions.
+    as tuples, a proper prefix ranking below its extensions, so the rows
+    come out sorted from one walk from the right with nothing to sort:
+    for each b, taken from the right, first every extension of its key
+    (an a further left, then a b left of that), largest first, then the
+    key itself.  Every position the walk visits extends a row, so no
+    work is spent on letters that start nothing (a long run of a, say).
     """
     predicted = sum(period_pair(w))
     if predicted > MARKED_OCCURRENCE_CAP:
@@ -303,29 +309,21 @@ def marked_occurrences(w: str) -> tuple[str, list[MarkedOccurrence]]:
             f"{predicted} occurrences exceed the cap of {MARKED_OCCURRENCE_CAP}"
         )
     host = "b" + w + "b"
-    n = len(host)
-    found: list[tuple[int, ...]] = []
+    a_at = [j for j, c in enumerate(host, 1) if c == "a"]
+    b_at = [j for j, c in enumerate(host, 1) if c == "b"]
+    rows: list[MarkedOccurrence] = []
 
-    def grow(prefix: tuple[int, ...], want: str) -> None:
-        for j in range(prefix[-1] + 1, n + 1):
-            if host[j - 1] == want:
-                ext = prefix + (j,)
-                if want == "b":
-                    found.append(ext)
-                    grow(ext, "a")
-                else:
-                    grow(ext, "b")
+    def walk(key: tuple[int, ...]) -> None:
+        # the rows of ``key``'s extensions, then of ``key`` itself
+        first = key[-1]
+        for i in reversed(a_at[: bisect(a_at, first)]):
+            for k in reversed(b_at[: bisect(b_at, i)]):
+                walk(key + (i, k))
+        rows.append(MarkedOccurrence(key[::-1], key, "a" if first == 1 else "b"))
 
-    for j in range(1, n + 1):
-        if host[j - 1] == "b":
-            found.append((j,))
-            grow((j,), "a")
-
-    marked = [
-        MarkedOccurrence(occ, occ[::-1], "a" if occ[0] == 1 else "b") for occ in found
-    ]
-    marked.sort(key=lambda m: m.reversed_key, reverse=True)
-    return "".join(m.marker for m in marked), marked
+    for j in reversed(b_at):
+        walk((j,))
+    return "".join(m.marker for m in rows), rows
 
 
 def initial_subword_count(v: str) -> int:

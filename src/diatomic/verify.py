@@ -161,7 +161,10 @@ def check_directive_roundtrip(max_k: int, max_n: int) -> CheckResult:
             for q in range(1, limit + 1 - p)
             if frac(p, q) == (p, q)
             for cw in [christoffel_by_slope(p, q)]
-            if cw.directive is None or not stern_brocot(cw.directive) == cw.slope == (p, q)
+            if cw.directive is None
+            or cw.word[0] + cw.word[-1] != "ab"
+            or psi_inverse(cw.word[1:-1]) != cw.directive
+            or not stern_brocot(cw.directive) == cw.slope == (p, q)
         ),
     )
     detail = f"psi and slope inversions, |v| <= {k}, p+q <= {limit}"

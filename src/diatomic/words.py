@@ -246,6 +246,20 @@ def subword_occurrences(w: str, u: str) -> list[tuple[int, ...]]:
     return out
 
 
+def _borders(w: str) -> list[int]:
+    # the Knuth-Morris-Pratt prefix function: entry i is the length of
+    # the longest proper border of w[: i + 1]
+    border = [0]
+    k = 0
+    for c in w[1:]:
+        while k and c != w[k]:
+            k = border[k - 1]
+        if c == w[k]:
+            k += 1
+        border.append(k)
+    return border
+
+
 def min_period(w: str) -> int:
     """Minimal period of ``w``: the least p with w_i = w_j whenever
     i = j (mod p).  The empty word has period 1 by convention.
@@ -253,18 +267,9 @@ def min_period(w: str) -> int:
     >>> min_period("abaabaaba")
     3
     """
-    n = len(w)
-    if n == 0:
+    if not w:
         return 1
-    border = [0] * n
-    k = 0
-    for q in range(1, n):
-        while k > 0 and w[k] != w[q]:
-            k = border[k - 1]
-        if w[k] == w[q]:
-            k += 1
-        border[q] = k
-    return n - border[n - 1]
+    return len(w) - _borders(w)[-1]
 
 
 def is_lyndon(w: str) -> bool:

@@ -134,6 +134,15 @@ def test_descent_on_golden_and_extreme_slopes(p, q):
     assert cw.directive is not None and len(cw.word) == p + q
 
 
+def test_descent_spells_the_directive_of_its_word():
+    # the runs of the descent against the directive read back off the word
+    slopes = [(p, n - p) for n in range(2, 301) for p in range(1, n) if gcd(p, n) == 1]
+    slopes += [(3524578, 5702887), (1, 10**6), (10**6, 1)]
+    for p, q in slopes:
+        cw = christoffel_by_slope(p, q)
+        assert cw.directive == palindromes.psi_inverse(cw.word[1:-1])
+
+
 def test_descent_is_independent_of_the_directive_routes(monkeypatch):
     # the descent spells Euclid out itself: no palindromization, periods,
     # continued fractions or tree labels
@@ -151,6 +160,8 @@ def test_descent_is_independent_of_the_directive_routes(monkeypatch):
         (continuants, "cf_terms"),
         (trees, "stern_brocot"),
         (christoffel, "stern_brocot"),
+        (palindromes, "psi_inverse"),
+        (christoffel, "psi_inverse"),
     ):
         monkeypatch.setattr(module, name, forbidden)
     for p, q in ((4, 7), (3524578, 5702887), (1, 1000), (999, 1)):

@@ -232,15 +232,6 @@ def test_psi_inverse_rejects_other_letters(w):
     assert psi_inverse(w) is None
 
 
-def test_psi_inverse_reads_in_place():
-    assert psi_inverse("xabaabay", 1, 7) == "aba"
-    assert psi_inverse("xabaabay", 1, 1) == ""
-    assert psi_inverse("abaaba", 2) is None
-    for bounds in ((-1, 3), (4, 3), (0, 7)):
-        with pytest.raises(ValueError):
-            psi_inverse("abaaba", *bounds)
-
-
 def test_psi_inverse_long_runs():
     # one directive letter per image letter: read run by run, not letter by letter
     assert psi_inverse("a" * 10**6) == "a" * 10**6

@@ -266,6 +266,35 @@ def test_marked_occurrences_all_words():
         assert keys == sorted(keys, reverse=True)
 
 
+def collect_then_sort_occurrences(w):
+    """Every b(ab)* occurrence in b w b, collected depth-first from the
+    left and then sorted by decreasing reversed key."""
+    host = "b" + w + "b"
+    n = len(host)
+    found = []
+
+    def grow(prefix, want):
+        for j in range(prefix[-1] + 1, n + 1):
+            if host[j - 1] == want:
+                ext = prefix + (j,)
+                if want == "b":
+                    found.append(ext)
+                grow(ext, "a" if want == "b" else "b")
+
+    for j in range(1, n + 1):
+        if host[j - 1] == "b":
+            found.append((j,))
+            grow((j,), "a")
+    rows = [(occ, occ[::-1], "a" if occ[0] == 1 else "b") for occ in found]
+    return sorted(rows, key=lambda row: row[1], reverse=True)
+
+
+def test_marked_occurrences_match_collect_then_sort():
+    for w in [*words_up_to(10), "ab" * 13]:
+        rows = marked_occurrences(w)[1]
+        assert [tuple(r) for r in rows] == collect_then_sort_occurrences(w)
+
+
 def test_marked_occurrences_cap(monkeypatch):
     # the package exports the function stern, which hides the module name
     monkeypatch.setattr(import_module("diatomic.stern"), "MARKED_OCCURRENCE_CAP", 1000)

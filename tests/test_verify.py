@@ -35,6 +35,23 @@ def test_directive_roundtrip_catches_a_wrong_slope_word(monkeypatch):
         assert not result.ok and result.detail.endswith("; first failure: ('slope', 1, 2)")
 
 
+def test_directive_roundtrip_catches_a_wrong_word_with_the_right_directive(monkeypatch):
+    # two letters of the word swapped, the directive from the descent kept:
+    # letters 2 and 3 (first differ at 1/2), or the first and the last
+    original = verify.christoffel_by_slope
+    for swap, first in (
+        (lambda w: w[0] + w[2:3] + w[1:2] + w[3:], "('slope', 1, 2)"),
+        (lambda w: w[-1] + w[1:-1] + w[0], "('slope', 1, 1)"),
+    ):
+        def swapped(p, q, swap=swap):
+            cw = original(p, q)
+            return replace(cw, word=swap(cw.word))
+
+        monkeypatch.setattr(verify, "christoffel_by_slope", swapped)
+        result = verify.check_directive_roundtrip(0, 20)
+        assert not result.ok and result.detail.endswith(f"; first failure: {first}")
+
+
 def test_verdict_reads_only_up_to_the_first_failure():
     def cases():
         yield "abba"
