@@ -28,7 +28,8 @@ import json
 import os
 import sys
 from functools import cache
-from typing import Any, Callable, Sequence
+from itertools import repeat
+from typing import Any, Callable, Iterable, Sequence
 
 from . import verify as verify_mod
 from .christoffel import (
@@ -165,7 +166,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict,
-          csv_rows: list[list] | None = None, csv_header: list[str] | None = None) -> int:
+          csv_rows: Iterable[Sequence] | None = None,
+          csv_header: list[str] | None = None) -> int:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     elif args.format == "csv":
@@ -176,9 +178,8 @@ def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict,
         if csv_header:
             writer.writerow(csv_header)
         writer.writerows(csv_rows)
-    else:
-        for line in text_lines:
-            print(line)
+    elif text_lines:
+        print("\n".join(text_lines))
     return EXIT_OK
 
 
@@ -330,8 +331,22 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
+    # histogram counts come sorted by length; each format builds only
+    # what it prints, and csv needs no summary
     h = histogram(args.k)
+    if args.format == "csv":
+        rows = zip(repeat(h.order), h.counts, h.counts.values())
+        return _emit(args, [], {}, rows, ["k", "n", "count"])
     s = summarize_histogram(h)
+    if args.format == "json":
+        payload = {
+            "k": s.order,
+            "M_k": s.max_count,
+            "argmax": s.argmax,
+            "missing": s.missing,
+            "missing_count": s.missing_count,
+        }
+        return _emit(args, [], payload)
     lines = [
         f"k: {s.order}",
         f"words: {h.mass}",
@@ -342,16 +357,8 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         f"missing count: {s.missing_count}",
         "histogram:",
     ]
-    lines += [f"  {n} {c}" for n, c in sorted(h.counts.items())]
-    payload = {
-        "k": s.order,
-        "M_k": s.max_count,
-        "argmax": s.argmax,
-        "missing": s.missing,
-        "missing_count": s.missing_count,
-    }
-    csv_rows = [[s.order, n, c] for n, c in sorted(h.counts.items())]
-    return _emit(args, lines, payload, csv_rows, ["k", "n", "count"])
+    lines += [f"  {n} {c}" for n, c in h.counts.items()]
+    return _emit(args, lines, {})
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -384,8 +391,31 @@ _HANDLERS = {
 }
 
 
+#: Options whose value is a fraction and so may start with "-".
+_FRACTION_OPTIONS = ("--fraction", "--slope")
+
+
+def _attach_fraction_values(argv: Sequence[str]) -> list[str]:
+    """``--slope -1/2`` as ``--slope=-1/2``, and so for the abbreviations
+    argparse accepts.
+
+    argparse reads a separate token that starts with "-" as an option
+    unless it is a plain number, so a negative fraction would never
+    reach the library; the attached form always does.
+    """
+    args: list[str] = []
+    for token in argv:
+        option = args[-1] if args else ""
+        if (token[:1] == "-" and token[1:2].isdigit() and len(option) > 2
+                and any(name.startswith(option) for name in _FRACTION_OPTIONS)):
+            args[-1] = f"{option}={token}"
+        else:
+            args.append(token)
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_attach_fraction_values(sys.argv[1:] if argv is None else argv))
     try:
         return _HANDLERS[args.command](args)
     except _ParseFailure as exc:

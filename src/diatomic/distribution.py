@@ -10,10 +10,30 @@ Both exhaustive enumerations read the period pairs of a whole tree level
 as two lists.  One level doubles the previous one: the ``a`` child of
 (p_a, p_b) is (p_a, p_a + p_b) and the ``b`` child is (p_a + p_b, p_b),
 which is the row doubling s(2n) = s(n), s(2n+1) = s(n) + s(n+1) of
-Stern's sequence.  The length below a node is linear in the node's
-pair, so ``histogram`` builds one block of coefficient lists and reuses
-it under every root of a shallower level; complement swaps the two
-periods, so only the half below the ``a`` child is enumerated.
+Stern's sequence.
+
+``histogram`` counts one word per class of the symmetries that keep
+the length: complement, and reversal, which is the bit-reversal symmetry
+s(n) = s(reverse_bits(n)) of Stern's sequence (Northshield, Amer. Math.
+Monthly, 2010).  Split a directive as v = x w y with |x| = |y| = m =
+floor(k/2) and w the middle letter, empty when k is even.  The length of
+x u is the dot product of the period pairs of x and of
+reverse(complement(u)), so one level of period pairs, indexed by the
+binary spelling of its directives (a = 0, first letter most significant),
+serves both halves: the word x w y is the entry t = z reverse(complement(w))
+with z = reverse(complement(y)).  Fix the first letter of x to ``a`` and
+double every count (complement).  Reversal pairs the a...a words,
+reversal-complement the a...b words, and the partner of x w y has x-part
+complement(z) or z.  So the word of its class with the smaller x-part is
+the one whose z lies strictly between x and complement(x) in index order:
+for each x, one contiguous row of the level, whose words count four
+times.  The row ends are the words with z = x, that is x w
+reverse(complement(x)), and z = complement(x), the palindromes x w
+reverse(x).  Each counts twice: a palindrome is its own reversal, and
+x reverse(complement(x)) is its own reversal-complement, or for odd k
+the reversal-complement of its twin with the other middle letter.  The
+rows hold 2^(k-2) + 2^(ceil(k/2)-1) leaves against 2^(k-1) for the
+complement half alone.
 """
 
 from __future__ import annotations
@@ -31,9 +51,10 @@ from .words import BudgetError, complement, decode
 #: Largest order accepted by the exhaustive enumerations, read at call time.
 MAX_ENUMERATED_ORDER = 26
 
-#: Depth of the coefficient block ``histogram`` reuses under every root,
-#: so its temporaries hold 2^12 pairs whatever the order.
-_BLOCK_DEPTH = 12
+#: ``histogram`` hands its row lengths to ``Counter.update`` in batches
+#: of at least this many: one call serves many short rows, and a batch
+#: holds at most this many lengths plus one row.
+_BATCH = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -81,44 +102,69 @@ def _check_order(k: int) -> None:
         )
 
 
-def _descendants(m: int, pa: int = 1, pb: int = 1) -> tuple[list[int], list[int]]:
-    """Period pairs of the 2^m depth-m descendants of (pa, pb), as the
-    list of a-periods and the list of b-periods.
+def _descendants(m: int) -> tuple[list[int], list[int]]:
+    """Period pairs of the 2^m directives of length m, as the list of
+    a-periods and the list of b-periods.
 
-    Bit j of an index is letter j of the path below (pa, pb), with a = 0.
+    Index i read as m binary digits spells its directive, a = 0 and the
+    first letter most significant.  Complement swaps the two periods and
+    maps index i to 2^m - 1 - i, so the b-periods are the a-periods in
+    reverse order.
 
     >>> _descendants(2)
-    ([1, 2, 3, 3], [3, 3, 2, 1])
+    ([1, 3, 2, 3], [3, 2, 3, 1])
     """
-    xs, ys = [pa], [pb]
+    xs = [1]
     for _ in range(m):
-        ss = list(map(add, xs, ys))
-        xs, ys = xs + ss, ss + ys
-    return xs, ys
+        sums = list(map(add, xs, reversed(xs)))
+        children = xs + sums
+        children[::2] = xs
+        children[1::2] = sums
+        xs = children
+    return xs, xs[::-1]
 
 
 def histogram(k: int) -> LengthHistogram:
     """Length histogram of all 2^k order-k Christoffel words.
 
-    Blocked sweep: the length below a node (pa, pb) along a path of
-    depth m is pa * X + pb * Y for a pair (X, Y) that depends on the
-    path alone, so the 2^m pairs of one coefficient block serve every
-    root of the level m levels up.  Only the words below the ``a`` child
-    (1, 2) are enumerated; complement swaps the two periods, so every
-    count is then doubled.
+    Class sweep (see the module docstring) over the level of the
+    m + (k mod 2) letters after x, m = k // 2: the row of x is its
+    entries s * index(x) <= t < s * (2^m - index(x)), s = 1 + k mod 2.
+    Each length in a row counts four words.  The s entries at either
+    end, x w reverse(complement(x)) and the palindromes x w reverse(x),
+    count two, and their lengths have closed forms in the period pair
+    of x.  Row lengths reach ``Counter.update`` in batches of at least
+    ``_BATCH``.
 
     >>> histogram(3).counts
     {5: 2, 7: 4, 8: 2}
     """
     _check_order(k)
-    if k == 0:
-        return LengthHistogram(0, {2: 1})
-    m = min(k - 1, _BLOCK_DEPTH)
-    xs, ys = _descendants(m)
+    if k < 2:
+        return LengthHistogram(k, {k + 2: 2**k})
+    xs, ys = _descendants(k - k // 2)
+    n = len(xs)
+    s = 1 + k % 2
     counts: Counter[int] = Counter()
-    for pa, pb in zip(*_descendants(k - 1 - m, 1, 2)):
-        counts.update(map(add, map(mul, xs, repeat(pa)), map(mul, ys, repeat(pb))))
-    return LengthHistogram(k, {n: 2 * c for n, c in sorted(counts.items())})
+    batch: list[int] = []
+    ends: list[int] = []
+    # (pa, pb) is the period pair of x: a final a keeps the a-period, a final b the b-period
+    for lo, pa, pb in zip(range(0, n // 2, s), xs[: n // 2 : s], ys[s - 1 : n // 2 : s]):
+        row_x, row_y = xs[lo : n - lo], ys[lo : n - lo]
+        batch += map(add, map(mul, row_x, repeat(pa)), map(mul, row_y, repeat(pb)))
+        if s == 1:  # x reverse(complement(x)), then the palindrome x reverse(x)
+            ends += (pa * pa + pb * pb, 2 * pa * pb)
+        else:  # x w reverse(complement(x)), one length for both w; x a reverse(x), x b reverse(x)
+            q = pa * pa + pa * pb + pb * pb
+            ends += (q, q, pa * (pa + 2 * pb), pb * (pb + 2 * pa))
+        if len(batch) >= _BATCH:
+            counts.update(batch)
+            batch.clear()
+    counts.update(batch)
+    lengths = {length: 4 * c for length, c in sorted(counts.items())}
+    for length in ends:
+        lengths[length] -= 2
+    return LengthHistogram(k, lengths)
 
 
 def summarize_histogram(h: LengthHistogram) -> OrderSummary:
@@ -261,7 +307,7 @@ def bound_report(k: int) -> BoundReport:
     # every predicate but the last two reads only lengths outside
     # (floor, ceiling), so only those directives are spelled out
     extremal = {
-        decode(i).rjust(k, "a")[::-1]: n
+        decode(i).rjust(k, "a"): n
         for i, n in enumerate(lengths)
         if not floor < n < ceiling
     }

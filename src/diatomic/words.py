@@ -12,13 +12,14 @@ occurrences of factors and subwords.
 
 from __future__ import annotations
 
-import itertools
+import re
 
 ALPHABET = "ab"
 
 _COMPLEMENT = str.maketrans("ab", "ba")
 _TO_DIGITS = str.maketrans("ab", "01")
 _FROM_DIGITS = str.maketrans("01", "ab")
+_RUNS = re.compile("a+|b+")
 
 #: Ceiling on the positions (and predictor steps) of subword enumerations.
 OCCURRENCE_CAP = 10**7
@@ -113,13 +114,8 @@ def integral_rep(w: str) -> tuple[int, ...]:
     >>> integral_rep("aaababb")
     (0, 3, 1, 1, 2)
     """
-    rep: list[int] = []
-    if w and w[0] == "a":
-        rep.append(0)
-    for _, group in itertools.groupby(w):
-        rep.append(sum(1 for _ in group))
-    if not rep:
-        rep.append(0)
+    rep = [] if w.startswith("b") else [0]
+    rep += map(len, _RUNS.findall(w))
     if len(rep) % 2 == 0:
         rep.append(0)
     return tuple(rep)

@@ -323,6 +323,21 @@ def test_module_entry_point():
     assert proc.stdout == "7\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["tree", "--fraction", "-1/2"],
+    ["christoffel", "--slope", "-1/2"],
+    ["tree", "--frac", "-1/2"],
+])
+def test_negative_fraction_value_reaches_the_library(capsys, argv):
+    # a separate "-1/2" is the option's value, not an unknown option: the
+    # library rejects it as a precondition and names the non-positive part
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 5
+    assert out == ""
+    assert "-1/2" in err and "expected one argument" not in err
+    assert run_cli(capsys, *argv[:-2], f"{argv[-2]}={argv[-1]}") == (code, out, err)
+
+
 def test_closed_stdout_pipe_ends_without_traceback():
     # dist 20 prints about 250 kB, more than a pipe holds, so the reader's
     # close is certain to reach the CLI while it is still writing

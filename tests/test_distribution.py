@@ -22,7 +22,7 @@ from diatomic.distribution import (
 )
 from diatomic.palindromes import period_pair
 from diatomic.stern import stern
-from diatomic.words import BudgetError, encode
+from diatomic.words import BudgetError, complement, encode
 
 MAX_COUNTS = {1: 2, 2: 2, 3: 4, 4: 4, 5: 4, 6: 8, 7: 12, 8: 12, 9: 16,
               10: 24, 11: 28, 12: 36, 13: 48, 14: 64}
@@ -52,19 +52,48 @@ def histogram_via_stern_rows(k):
     return counts
 
 
+SMALL_HISTOGRAMS = {
+    0: {2: 1},
+    1: {3: 2},
+    2: {4: 2, 5: 2},
+    3: {5: 2, 7: 4, 8: 2},
+    4: {6: 2, 9: 4, 10: 2, 11: 4, 12: 2, 13: 2},
+    5: {7: 2, 11: 4, 13: 4, 14: 4, 15: 2, 16: 2, 17: 4, 18: 4, 19: 4, 21: 2},
+}
+
+
 def test_histogram_small():
-    assert histogram(0).counts == {2: 1}
-    assert histogram(1).counts == {3: 2}
-    assert histogram(3).counts == {5: 2, 7: 4, 8: 2}
+    for k, counts in SMALL_HISTOGRAMS.items():
+        assert list(histogram(k).counts.items()) == list(counts.items())
+
+
+def test_histogram_fixed_words_count_twice():
+    # A palindrome, and at even order a word equal to its reverse
+    # complement, stands for itself and its complement only: the ends of
+    # the sweep's rows.  Every other class holds four words of one length,
+    # so a count is 2 mod 4 exactly where an odd number of such fixed
+    # classes has that length.
+    assert {n: c for n, c in histogram(6).counts.items() if c % 4} == {
+        8: 2, 17: 6, 20: 2, 24: 2, 25: 6, 29: 6, 30: 2, 34: 2}
+    assert {n: c for n, c in histogram(7).counts.items() if c % 4} == {
+        9: 2, 33: 6, 39: 6, 40: 2, 45: 2, 55: 2}
+    for k in (6, 7):
+        fixed: dict[int, int] = {}
+        for v in words_of_length(k):
+            if v in (v[::-1], complement(v)[::-1]):
+                n = sum(period_pair(v))
+                fixed[n] = fixed.get(n, 0) + 1
+        counts = histogram(k).counts
+        assert all((counts[n] - fixed.get(n, 0)) % 4 == 0 for n in counts)
 
 
 def test_histogram_matches_directive_enumeration():
-    for k in range(9):
+    for k in range(13):
         counts: dict[int, int] = {}
         for v in words_of_length(k):
             n = sum(period_pair(v))
             counts[n] = counts.get(n, 0) + 1
-        assert histogram(k).counts == dict(sorted(counts.items()))
+        assert list(histogram(k).counts.items()) == sorted(counts.items())
 
 
 def test_histogram_matches_stern_rows():
@@ -77,9 +106,7 @@ def test_histogram_matches_stern_rows():
 def test_descendants_index_bits_spell_directives():
     for k in range(9):
         xs, ys = _descendants(k)
-        pairs = [period_pair("".join(reversed(v))) for v in words_of_length(k)]
-        assert list(zip(xs, ys)) == pairs
-    assert _descendants(1, 2, 3) == ([2, 5], [5, 3])
+        assert list(zip(xs, ys)) == [period_pair(v) for v in words_of_length(k)]
 
 
 def test_histogram_masses():
@@ -175,11 +202,16 @@ def test_totient():
 
 
 def test_counts_for_length_matches_histograms():
-    by_order = {k: histogram(k).counts for k in range(15)}
-    for n in range(2, 30):
-        per_k = counts_for_length(n)
-        for k in range(15):
-            assert per_k.get(k, 0) == by_order[k].get(n, 0)
+    # the class sweep per order against the residue route per length: every
+    # length n <= 300 at every order up to 18, and the whole histogram of
+    # every order whose longest word, F(k+1), is within that range
+    by_length = {n: counts_for_length(n) for n in range(2, 301)}
+    for k in range(19):
+        counts = histogram(k).counts
+        per_length = {n: c[k] for n, c in by_length.items() if k in c}
+        assert {n: c for n, c in counts.items() if n <= 300} == per_length
+        if fib(k + 1) <= 300:
+            assert counts == per_length
 
 
 def test_counts_for_length_matches_full_residue_loop():
