@@ -14,12 +14,12 @@ from diatomic import (
     marked_occurrences,
     psi,
     ruler,
-    stern,
     stern_via_christoffel,
     stern_via_subwords,
     stern_via_zeta,
     zeta,
 )
+from diatomic.stern import stern
 
 print("prefix:", " ".join(str(stern(n)) for n in range(17)))
 print()

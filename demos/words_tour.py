@@ -18,7 +18,6 @@ from diatomic import (
     plus_suffix,
     reverse,
     subword_binomial,
-    subword_occurrences,
     word_of,
 )
 
@@ -46,7 +45,7 @@ print()
 host = "bababab"
 print(f"occurrences of the factor 'bab' in {host}: {factor_count(host, 'bab')}")
 print(f"occurrences of the subword 'bab' in {host}: {subword_binomial(host, 'bab')}")
-print(f"embeddings of 'b' in babbaab: {subword_occurrences('babbaab', 'b')}")
+print(f"occurrences of the subword 'b' in babbaab: {subword_binomial('babbaab', 'b')}")
 print()
 
 print(f"min_period('abaabaaba') = {min_period('abaabaaba')}")

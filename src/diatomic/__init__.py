@@ -5,6 +5,9 @@ Words are plain strings over the letters a and b.  The package connects
 three views of the same objects: palindromization images and their
 period pairs, fraction labels on the two classical binary trees, and
 Stern's sequence read along the tree numbering.
+
+Every submodule keeps its own name here: the function ``stern`` is
+imported from :mod:`diatomic.stern`.
 """
 
 from .christoffel import (
@@ -16,7 +19,6 @@ from .christoffel import (
     is_central,
     is_christoffel,
     is_standard,
-    length_compare_extension,
     lyndon_factorization,
     standard_by_coefficients,
 )
@@ -37,7 +39,7 @@ from .distribution import (
     totient_identity_check,
     word_class,
 )
-from .fracs import Frac, frac, parse_frac
+from .fracs import Frac, frac
 from .palindromes import (
     mu,
     min_period_central,
@@ -59,7 +61,6 @@ from .stern import (
     period_by_subword_count,
     reverse_bits,
     ruler,
-    stern,
     stern_factor_identity,
     stern_via_christoffel,
     stern_via_integral_continuant,
@@ -73,22 +74,17 @@ from .words import (
     BudgetError,
     complement,
     decode,
-    drop_first,
-    drop_last,
     encode,
     factor_count,
     integral_rep,
     is_constant,
     is_lyndon,
-    is_palindrome,
-    lex_compare,
     min_period,
     plus_prefix,
     plus_suffix,
     reduced_rep,
     reverse,
     subword_binomial,
-    subword_occurrences,
     word_of,
 )
 

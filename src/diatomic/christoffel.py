@@ -87,9 +87,7 @@ def christoffel_by_slope(p: int, q: int) -> ChristoffelWord:
     n = p + q
     budget = palindromes.PSI_LENGTH_BUDGET
     if n - 2 > budget:
-        raise BudgetError(
-            f"slope {p}/{q} needs a central word of {n - 2} letters, budget is {budget}"
-        )
+        raise BudgetError(f"slope's central word exceeds the budget of {budget} letters")
     slope = Frac(p, q)
     word = bytearray(n)
     word[0], word[-1] = ord("a"), ord("b")
@@ -209,17 +207,3 @@ def standard_by_coefficients(c: Sequence[int], count: int) -> list[str]:
     for i in range(count - 2):
         seq.append(seq[-1] * c[i] + seq[-2])
     return seq[:count]
-
-
-def length_compare_extension(v: str) -> int:
-    """Compare |a psi(va) b| against |a psi(vb) b|: -1 when the a-extension
-    is shorter, 1 when longer.  The sign is decided by the last letter of
-    ``v`` (a gives -1, b gives 1); the lengths are computed outright so
-    that claim stays testable.
-    """
-    if not v:
-        raise ValueError("empty word")
-    pa, pb = period_pair(v)
-    la = 2 * pa + pb  # appending a turns (pa, pb) into (pa, pa + pb)
-    lb = pa + 2 * pb
-    return (la > lb) - (la < lb)

@@ -96,13 +96,3 @@ def fib(n: int) -> int:
     for _ in range(n):
         prev, cur = cur, prev + cur
     return cur
-
-
-__all__ = [
-    "continuant",
-    "cf_value",
-    "cf_terms",
-    "mirror_formula",
-    "christoffel_length_cf",
-    "fib",
-]

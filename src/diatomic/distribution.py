@@ -97,8 +97,7 @@ def _check_order(k: int) -> None:
         raise ValueError("order must be non-negative")
     if k > MAX_ENUMERATED_ORDER:
         raise BudgetError(
-            f"order {k} enumerates 2^{k} = {2**k} directives; "
-            f"the configured bound is {MAX_ENUMERATED_ORDER}"
+            f"order k enumerates 2^k directives; k exceeds the bound of {MAX_ENUMERATED_ORDER}"
         )
 
 

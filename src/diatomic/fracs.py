@@ -46,8 +46,3 @@ def split_frac(text: str) -> tuple[int, int]:
         return int(num_text), int(den_text if sep else "1")
     except ValueError:
         raise ValueError(f"not a fraction: {text!r}") from None
-
-
-def parse_frac(text: str) -> Frac:
-    """Parse "p/q" (or a bare integer "p") into a reduced fraction."""
-    return frac(*split_frac(text))

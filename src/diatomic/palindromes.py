@@ -106,10 +106,12 @@ def _fill(image: bytearray, letters: Iterable[str], start: int, stop: int) -> No
 
 
 def _check_budget(length: int) -> int:
-    # ``length``, after checking it against ``PSI_LENGTH_BUDGET``
+    # ``length``, after checking it against ``PSI_LENGTH_BUDGET``; the
+    # message names only the budget, as the length may have more digits
+    # than Python converts to a string
     if length > PSI_LENGTH_BUDGET:
         raise BudgetError(
-            f"palindromization image has {length} letters, budget is {PSI_LENGTH_BUDGET}"
+            f"palindromization image exceeds the budget of {PSI_LENGTH_BUDGET} letters"
         )
     return length
 

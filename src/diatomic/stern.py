@@ -141,7 +141,7 @@ def stern_via_zeta(n: int) -> int:
         raise ValueError("the signed continuant form needs n > 1")
     if n > ZETA_ARGUMENT_CAP:
         raise BudgetError(
-            f"the continuant route takes {n - 1} steps, the cap is {ZETA_ARGUMENT_CAP}"
+            f"the continuant route takes n - 1 steps; n exceeds the cap of {ZETA_ARGUMENT_CAP}"
         )
     for value in zeta_sterns(n):
         pass
@@ -305,9 +305,7 @@ def marked_occurrences(w: str) -> tuple[str, list[MarkedOccurrence]]:
     """
     predicted = sum(period_pair(w))
     if predicted > MARKED_OCCURRENCE_CAP:
-        raise BudgetError(
-            f"{predicted} occurrences exceed the cap of {MARKED_OCCURRENCE_CAP}"
-        )
+        raise BudgetError(f"occurrences exceed the cap of {MARKED_OCCURRENCE_CAP}")
     host = "b" + w + "b"
     a_at = [j for j, c in enumerate(host, 1) if c == "a"]
     b_at = [j for j, c in enumerate(host, 1) if c == "b"]

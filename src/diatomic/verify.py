@@ -26,7 +26,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .christoffel import christoffel_by_slope, lyndon_factorization
 from .continuants import christoffel_length_cf, fib, mirror_formula
-from .distribution import bound_report, histogram, summarize_histogram, totient_identity_check
+from .distribution import (
+    bound_report,
+    histogram,
+    max_count_lower_bound,
+    summarize_histogram,
+    totient_identity_check,
+)
 from .fracs import frac
 from .palindromes import min_period_central, mu, period_pair, psi, psi_inverse, psi_prefix
 from .stern import (
@@ -35,6 +41,7 @@ from .stern import (
     initial_subword_count,
     length_by_subword_count,
     marked_occurrences,
+    period_by_subword_count,
     reverse_bits,
     ruler,
     stern,
@@ -45,7 +52,7 @@ from .stern import (
     zeta_sterns,
 )
 from .trees import nu, path_of_fraction, ra_of, raney, stern_brocot
-from .words import complement, encode
+from .words import complement, encode, is_constant
 
 STERN_PREFIX = (
     0, 1, 1, 2, 1, 3, 2, 3, 1, 4, 3, 5, 2, 5, 3, 4,
@@ -203,8 +210,10 @@ def check_subword_counts(max_k: int, max_n: int) -> CheckResult:
         v for v in _words_up_to(k)
         if length_by_subword_count(v) != sum(period_pair(v))
         or initial_subword_count(v) != ("a" + psi(v) + "b").count("a")
+        or (not is_constant(v) and period_by_subword_count(v) != min_period_central(v))
     )
-    return _verdict("pattern-subword-counts", f"length and letter counts for |v| <= {k}", failures)
+    detail = f"lengths, letter counts and periods for |v| <= {k}"
+    return _verdict("pattern-subword-counts", detail, failures)
 
 
 def check_factor_decomposition(max_k: int, max_n: int) -> CheckResult:
@@ -329,14 +338,24 @@ def check_tables(max_k: int, max_n: int) -> CheckResult:
     # the published rows reach order 22; raising --max-k past 14 turns on
     # the slow tail (order k enumerates 2^k directives)
     top = min(max_k, 22)
-    failures = (
-        k for k in range(1, top + 1)
-        for f, (expected_max, listed) in [(_order(k), MAX_COUNT_TABLE[k])]
-        if f.max_count != expected_max
-        or not set(listed) <= f.argmax
-        or (k <= len(MISSING_COUNT_TABLE) and f.missing_count != MISSING_COUNT_TABLE[k - 1])
+    failures = itertools.chain(
+        (
+            k for k in range(1, top + 1)
+            for f, (expected_max, listed) in [(_order(k), MAX_COUNT_TABLE[k])]
+            if f.max_count != expected_max
+            or not set(listed) <= f.argmax
+            or (k <= len(MISSING_COUNT_TABLE) and f.missing_count != MISSING_COUNT_TABLE[k - 1])
+        ),
+        # the golden-ratio lower bound needs no histogram: every pinned order
+        (
+            ("lower bound", k) for k, (expected_max, _) in MAX_COUNT_TABLE.items()
+            if max_count_lower_bound(k) > expected_max
+        ),
     )
-    detail = f"max counts and missing lengths for k <= {top}"
+    detail = (
+        f"max counts and missing lengths for k <= {top},"
+        f" golden-ratio lower bound for k <= {max(MAX_COUNT_TABLE)}"
+    )
     return _verdict("published-table-pins", detail, failures)
 
 

@@ -5,9 +5,6 @@ string standing for the empty word.  The letter order a < b agrees with
 string comparison, so lexicographic questions reduce to ``<`` on ``str``.
 Everything downstream (palindromization, Christoffel words, the Raney and
 Stern-Brocot trees, Stern's sequence) speaks this one currency.
-
-Positions are 1-based throughout, matching the usual convention for
-occurrences of factors and subwords.
 """
 
 from __future__ import annotations
@@ -20,9 +17,6 @@ _COMPLEMENT = str.maketrans("ab", "ba")
 _TO_DIGITS = str.maketrans("ab", "01")
 _FROM_DIGITS = str.maketrans("01", "ab")
 _RUNS = re.compile("a+|b+")
-
-#: Ceiling on the positions (and predictor steps) of subword enumerations.
-OCCURRENCE_CAP = 10**7
 
 
 class BudgetError(RuntimeError):
@@ -50,27 +44,9 @@ def reverse(w: str) -> str:
     return w[::-1]
 
 
-def is_palindrome(w: str) -> bool:
-    return w == w[::-1]
-
-
 def is_constant(w: str) -> bool:
     """True for z^k with k >= 0 (includes the empty word)."""
     return len(set(w)) <= 1
-
-
-def drop_last(v: str) -> str:
-    """``v`` with its last letter removed."""
-    if not v:
-        raise ValueError("empty word")
-    return v[:-1]
-
-
-def drop_first(v: str) -> str:
-    """``v`` with its first letter removed."""
-    if not v:
-        raise ValueError("empty word")
-    return v[1:]
 
 
 def plus_prefix(v: str) -> str:
@@ -193,55 +169,6 @@ def subword_binomial(w: str, u: str) -> int:
     return counts[len(u)]
 
 
-def subword_occurrences(w: str, u: str) -> list[tuple[int, ...]]:
-    """All occurrences of ``u`` as a subword of ``w``, in lexicographic order.
-
-    Each occurrence is the strictly increasing tuple of 1-based positions
-    of the embedding.  Before any work, ``OCCURRENCE_CAP`` bounds the
-    len(w) * len(u) steps of :func:`subword_binomial`, then the positions
-    to materialize: len(u) per occurrence it predicts.
-    """
-    n, m = len(w), len(u)
-    if n * m > OCCURRENCE_CAP:
-        raise BudgetError(f"{n * m} predictor steps exceed the cap of {OCCURRENCE_CAP}")
-    predicted = subword_binomial(w, u)
-    if predicted * m > OCCURRENCE_CAP:
-        raise BudgetError(f"{predicted * m} positions exceed the cap of {OCCURRENCE_CAP}")
-    if m == 0 or predicted == 0:
-        return [()] * predicted  # [()] for the empty u, [] when u never fits
-    # stop[j] is the last index where letter j leaves room for u[j + 1:]
-    stop = [0] * m + [n]
-    for j in range(m - 1, -1, -1):
-        stop[j] = w.rfind(u[j], 0, stop[j + 1])
-    out: list[tuple[int, ...]] = []
-    # depth-first with an explicit stack: candidates[j] runs over the
-    # positions still open for letter j, chosen[:j] holds letters 0..j-1
-    chosen: list[int] = []
-    candidates = [iter(range(stop[0] + 1))]
-    while candidates:
-        j = len(candidates) - 1
-        c = u[j]
-        if j + 1 == m:
-            # the last letter: each match left completes one occurrence
-            prefix = tuple(chosen)
-            out.extend([prefix + (i + 1,) for i in candidates[j] if w[i] == c])
-        else:
-            for i in candidates[j]:
-                if w[i] == c:
-                    break
-            else:
-                i = n
-            if i < n:
-                chosen.append(i + 1)
-                candidates.append(iter(range(i + 1, stop[j + 1] + 1)))
-                continue
-        # letter j has no position left: back up to letter j - 1
-        candidates.pop()
-        if chosen:
-            chosen.pop()
-    return out
-
-
 def _borders(w: str) -> list[int]:
     # the Knuth-Morris-Pratt prefix function: entry i is the length of
     # the longest proper border of w[: i + 1]
@@ -273,8 +200,3 @@ def is_lyndon(w: str) -> bool:
     proper suffixes.
     """
     return bool(w) and all(w < w[i:] for i in range(1, len(w)))
-
-
-def lex_compare(u: str, v: str) -> int:
-    """-1, 0, or 1 as ``u`` precedes, equals, or follows ``v`` lexicographically."""
-    return (u > v) - (u < v)

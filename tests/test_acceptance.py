@@ -33,7 +33,6 @@ from diatomic import (
     raney,
     reverse_bits,
     ruler,
-    stern,
     stern_brocot,
     stern_via_christoffel,
     stern_via_subwords,
@@ -43,6 +42,7 @@ from diatomic import (
     word_class,
 )
 from diatomic.distribution import almost_alternating
+from diatomic.stern import stern
 from diatomic.words import complement, reverse
 
 STERN_PREFIX = [0, 1, 1, 2, 1, 3, 2, 3, 1, 4, 3, 5, 2, 5, 3, 4,

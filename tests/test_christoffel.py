@@ -14,7 +14,6 @@ from diatomic.christoffel import (
     is_central,
     is_christoffel,
     is_standard,
-    length_compare_extension,
     lyndon_factorization,
     standard_by_coefficients,
 )
@@ -269,14 +268,14 @@ def test_reversed_directive_periods_are_letter_counts():
 
 
 def test_length_decompositions():
-    from diatomic.words import drop_first, drop_last, plus_prefix, plus_suffix
+    from diatomic.words import plus_prefix, plus_suffix
 
     for v in words_up_to(14):
         if len(set(v)) < 2:
             continue
         total = sum(period_pair(v))
-        assert total == sum(period_pair(drop_last(v))) + sum(period_pair(plus_prefix(v)))
-        assert total == sum(period_pair(drop_first(v))) + sum(period_pair(plus_suffix(v)))
+        assert total == sum(period_pair(v[:-1])) + sum(period_pair(plus_prefix(v)))
+        assert total == sum(period_pair(v[1:])) + sum(period_pair(plus_suffix(v)))
         assert sum(period_pair(plus_prefix(v))) == min_period(psi(v))
 
 
@@ -298,18 +297,15 @@ def test_standard_by_coefficients_errors():
 
 
 def test_length_compare_extension():
-    assert length_compare_extension("abaa") == -1
-    assert length_compare_extension("b") == 1
-    with pytest.raises(ValueError):
-        length_compare_extension("")
+    # |a psi(va) b| < |a psi(vb) b| exactly when v ends in a, and the two
+    # lengths never tie
     for v in words_up_to(10):
         if not v:
             continue
-        la = sum(period_pair(v + "a"))
-        lb = sum(period_pair(v + "b"))
-        expected = (la > lb) - (la < lb)
-        assert length_compare_extension(v) == expected
-        assert expected == (-1 if v[-1] == "a" else 1)
+        la = len(christoffel_by_directive(v + "a").word)
+        lb = len(christoffel_by_directive(v + "b").word)
+        assert la != lb
+        assert (la < lb) == (v[-1] == "a")
 
 
 def test_of_word_recognizer(small_words):

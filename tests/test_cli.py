@@ -9,7 +9,9 @@ import pytest
 
 from diatomic import cli
 from diatomic.cli import main
-from diatomic.stern import ZETA_ARGUMENT_CAP
+from diatomic.distribution import MAX_ENUMERATED_ORDER
+from diatomic.palindromes import PSI_LENGTH_BUDGET
+from diatomic.stern import MARKED_OCCURRENCE_CAP, ZETA_ARGUMENT_CAP
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +178,28 @@ def test_tree_argument_exclusivity(capsys):
 def test_budget_exit(capsys):
     code, _, err = run_cli(capsys, "psi", "ab" * 60)
     assert code == 4 and "budget" in err
+
+
+# each input's refused size has more than 4,300 digits, more than Python
+# converts to a string, so only a message that names the bound gets out;
+# dist 1000000000 would also spend seconds building 2^k for its message
+HUGE_SLOPE = f"{9 * 10**4299}/{9 * 10**4299 + 1}"
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["psi", "ab" * 11000], PSI_LENGTH_BUDGET),
+    (["christoffel", "--directive", "ab" * 11000], PSI_LENGTH_BUDGET),
+    (["christoffel", "--slope", HUGE_SLOPE], PSI_LENGTH_BUDGET),
+    (["occ", "ab" * 11000], MARKED_OCCURRENCE_CAP),
+    (["dist", "20000"], MAX_ENUMERATED_ORDER),
+    (["dist", "1000000000"], MAX_ENUMERATED_ORDER),
+], ids=["psi", "christoffel-directive", "christoffel-slope", "occ", "dist", "dist-huge"])
+def test_budget_refusal_names_only_the_bound(capsys, argv, bound):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (4, "")
+    assert str(bound) in err and len(err) < 200
 
 
 def test_dist_text(capsys):

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from importlib import import_module
 from itertools import combinations
 
 import pytest
@@ -296,8 +295,7 @@ def test_marked_occurrences_match_collect_then_sort():
 
 
 def test_marked_occurrences_cap(monkeypatch):
-    # the package exports the function stern, which hides the module name
-    monkeypatch.setattr(import_module("diatomic.stern"), "MARKED_OCCURRENCE_CAP", 1000)
+    monkeypatch.setattr("diatomic.stern.MARKED_OCCURRENCE_CAP", 1000)
     with pytest.raises(BudgetError) as err:
         marked_occurrences("ab" * 30)
     assert "exceed" in str(err.value)

@@ -3,7 +3,7 @@ from math import gcd
 import pytest
 
 from conftest import words_up_to
-from diatomic.fracs import Frac, frac, parse_frac
+from diatomic.fracs import Frac, frac, split_frac
 from diatomic.palindromes import period_pair, psi
 from diatomic.stern import stern
 from diatomic.trees import (
@@ -153,11 +153,12 @@ def test_frac_helpers():
     assert str(Frac(4, 7)) == "4/7"
     assert frac(6, 4) == Frac(3, 2)
     assert frac(3, -2) == Frac(-3, 2)
-    assert parse_frac("4/7") == Frac(4, 7)
-    assert parse_frac("5") == Frac(5, 1)
+    assert split_frac("4/7") == (4, 7)
+    assert split_frac("6/4") == (6, 4)
+    assert split_frac("5") == (5, 1)
     with pytest.raises(ValueError):
         frac(0, 0)
     with pytest.raises(ValueError):
-        parse_frac("x/y")
+        split_frac("x/y")
     with pytest.raises(ValueError, match="not a fraction: '3/'"):
-        parse_frac("3/")
+        split_frac("3/")
