@@ -144,9 +144,16 @@ def test_subword_binomial_examples():
     assert subword_binomial("abab", "") == 1
     assert subword_binomial("bab", "b") == 2
     assert subword_binomial("babbaab", "bab") == 9
+
+
+def test_subword_occurrences_examples():
+    assert brute_occurrences("ab", "ab") == [(1, 2)]
     assert subword_binomial("ab", "ab") == 1
+    assert brute_occurrences("babbaab", "b") == [(1,), (3,), (4,), (7,)]
     assert subword_binomial("babbaab", "b") == 4
-    # the occurrences of bab in babbaab that start at position 1
+    initial = [t for t in brute_occurrences("babbaab", "bab") if t[0] == 1]
+    assert len(initial) == 5
+    # those start at the first b and embed ab in the rest, abbaab
     assert subword_binomial("abbaab", "ab") == 5
 
 
