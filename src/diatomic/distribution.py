@@ -34,16 +34,25 @@ x reverse(complement(x)) is its own reversal-complement, or for odd k
 the reversal-complement of its twin with the other middle letter.  The
 rows hold 2^(k-2) + 2^(ceil(k/2)-1) leaves against 2^(k-1) for the
 complement half alone.
+
+``histogram`` packs the level's a-periods and its b-periods into one
+integer each, one lane of ``_LANE`` bytes per entry, so the lengths of
+a whole row are the lanes of one integer product and cost no Python
+step each.  Every lane holds the length of an order-k word, at most
+F(k+1), so no lane carries while F(k+1) fits one; orders past that lane
+bound are refused.  The lengths reach ``Counter.update`` in batches.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import count
 from math import gcd
-from operator import add, mul
+from operator import add
 
 from .continuants import cf_terms, fib
 from .words import BudgetError, complement, decode
@@ -55,6 +64,14 @@ MAX_ENUMERATED_ORDER = 26
 #: of at least this many: one call serves many short rows, and a batch
 #: holds at most this many lengths plus one row.
 _BATCH = 1 << 12
+
+#: Bytes in one lane of ``histogram``'s packed integers: one unsigned C
+#: int, 4 bytes on common platforms, which holds F(27) = 514229, the
+#: longest length of order 26; 2 bytes would carry from order 22 on.
+_LANE = array("I").itemsize
+
+#: The largest order whose lengths, at most F(k+1), fit in one lane.
+_LANE_ORDER = next(k for k in count() if fib(k + 2) >> (8 * _LANE))
 
 
 @dataclass(frozen=True)
@@ -132,25 +149,37 @@ def histogram(k: int) -> LengthHistogram:
     Each length in a row counts four words.  The s entries at either
     end, x w reverse(complement(x)) and the palindromes x w reverse(x),
     count two, and their lengths have closed forms in the period pair
-    of x.  Row lengths reach ``Counter.update`` in batches of at least
-    ``_BATCH``.
+    of x.  The lengths of a row are the lanes [lo, n - lo) of one
+    integer product pa * X + pb * Y, where X and Y pack the level's
+    a-periods and b-periods one ``_LANE``-byte lane per entry.  An order
+    past ``_LANE_ORDER``, whose longest words would carry into the next
+    lane, raises :class:`BudgetError` up front.  Row lengths reach
+    ``Counter.update`` in batches of at least ``_BATCH``.
 
     >>> histogram(3).counts
     {5: 2, 7: 4, 8: 2}
     """
     _check_order(k)
+    if k > _LANE_ORDER:
+        raise BudgetError(
+            f"order k has lengths past a {8 * _LANE}-bit lane; "
+            f"MAX_ENUMERATED_ORDER exceeds the lane bound"
+        )
     if k < 2:
         return LengthHistogram(k, {k + 2: 2**k})
     xs, ys = _descendants(k - k // 2)
     n = len(xs)
     s = 1 + k % 2
+    byteorder = sys.byteorder
+    packed_x = int.from_bytes(array("I", xs), byteorder)
+    packed_y = int.from_bytes(array("I", ys), byteorder)
     counts: Counter[int] = Counter()
-    batch: list[int] = []
+    batch = array("I")
     ends: list[int] = []
     # (pa, pb) is the period pair of x: a final a keeps the a-period, a final b the b-period
     for lo, pa, pb in zip(range(0, n // 2, s), xs[: n // 2 : s], ys[s - 1 : n // 2 : s]):
-        row_x, row_y = xs[lo : n - lo], ys[lo : n - lo]
-        batch += map(add, map(mul, row_x, repeat(pa)), map(mul, row_y, repeat(pb)))
+        row = (pa * packed_x + pb * packed_y).to_bytes(n * _LANE, byteorder)
+        batch.frombytes(row[lo * _LANE : (n - lo) * _LANE])
         if s == 1:  # x reverse(complement(x)), then the palindrome x reverse(x)
             ends += (pa * pa + pb * pb, 2 * pa * pb)
         else:  # x w reverse(complement(x)), one length for both w; x a reverse(x), x b reverse(x)
@@ -158,7 +187,7 @@ def histogram(k: int) -> LengthHistogram:
             ends += (q, q, pa * (pa + 2 * pb), pb * (pb + 2 * pa))
         if len(batch) >= _BATCH:
             counts.update(batch)
-            batch.clear()
+            del batch[:]
     counts.update(batch)
     lengths = {length: 4 * c for length, c in sorted(counts.items())}
     for length in ends:

@@ -244,16 +244,16 @@ def factor_decomposition(w: str) -> FactorDecomposition:
             counts[u] = counts.get(u, 0) + 1
     single = []
     multi = []
-    for u in sorted(counts, key=lambda f: (len(f), f)):
-        n_a = u.count("a")
-        if n_a == 0:
+    for u in sorted(sorted(counts), key=len):
+        core = u.strip("b")  # from the first a to the last
+        if not core:
             continue  # all-b factors carry weight s(0) = 0
-        if n_a == 1:
+        if len(core) == 1:
             single.append((u, counts[u]))
         else:
-            inner = u[u.index("a") + 1 : u.rindex("a")]
+            inner = core[1:-1]
             multi.append((u, inner, sum(period_pair(inner)), counts[u]))
-    return FactorDecomposition(w, host.count("b"), tuple(single), tuple(multi))
+    return FactorDecomposition(w, len(b_at), tuple(single), tuple(multi))
 
 
 def stern_factor_identity(n: int) -> bool:
@@ -296,12 +296,15 @@ def marked_occurrences(w: str) -> tuple[str, list[MarkedOccurrence]]:
     table is a standard word in disguise.  The number of rows equals the
     Christoffel length of w, which is checked against
     ``MARKED_OCCURRENCE_CAP`` before enumerating.  Reversed keys compare
-    as tuples, a proper prefix ranking below its extensions, so the rows
-    come out sorted from one walk from the right with nothing to sort:
-    for each b, taken from the right, first every extension of its key
-    (an a further left, then a b left of that), largest first, then the
-    key itself.  Every position the walk visits extends a row, so no
-    work is spent on letters that start nothing (a long run of a, say).
+    as tuples, a proper prefix ranking below its extensions, so the table
+    is built sorted with nothing to sort.  The keys that start at the b
+    in position j, in decreasing order, are: for each a at i < j and
+    then each b at k < i, largest first, (j, i) followed by each key
+    that starts at k, in its order; then (j,) itself.  The b positions
+    are taken in increasing order, so every list they read is already
+    built, and the rows are these lists for j in decreasing order.
+    Every extension read yields a row, so no work is spent on letters
+    that start nothing (a long run of a, say).
     """
     predicted = sum(period_pair(w))
     if predicted > MARKED_OCCURRENCE_CAP:
@@ -309,18 +312,19 @@ def marked_occurrences(w: str) -> tuple[str, list[MarkedOccurrence]]:
     host = "b" + w + "b"
     a_at = [j for j, c in enumerate(host, 1) if c == "a"]
     b_at = [j for j, c in enumerate(host, 1) if c == "b"]
-    rows: list[MarkedOccurrence] = []
-
-    def walk(key: tuple[int, ...]) -> None:
-        # the rows of ``key``'s extensions, then of ``key`` itself
-        first = key[-1]
-        for i in reversed(a_at[: bisect(a_at, first)]):
+    keys: dict[int, list[tuple[int, ...]]] = {}
+    for j in b_at:
+        starting = []
+        for i in reversed(a_at[: bisect(a_at, j)]):
             for k in reversed(b_at[: bisect(b_at, i)]):
-                walk(key + (i, k))
-        rows.append(MarkedOccurrence(key[::-1], key, "a" if first == 1 else "b"))
-
-    for j in reversed(b_at):
-        walk((j,))
+                starting += map((j, i).__add__, keys[k])
+        starting.append((j,))
+        keys[j] = starting
+    rows = [
+        MarkedOccurrence(key[::-1], key, "a" if key[-1] == 1 else "b")
+        for j in reversed(b_at)
+        for key in keys[j]
+    ]
     return "".join(m.marker for m in rows), rows
 
 

@@ -20,7 +20,6 @@ the clamps themselves, so the suite has a fixed ceiling for any bounds.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -275,9 +274,10 @@ def check_stern_identities(max_k: int, max_n: int) -> CheckResult:
         ),
         (("quotient", n) for n in range(1, limit + 1) if stern(n - 1) // stern(n) != ruler(n)),
         (
+            # s(n)/s(n+1) = 1/(2 r(n) + 1 - s(n-1)/s(n)) cross-multiplied, s(n) >= 1
             ("successor", n) for n in range(1, limit + 1)
-            if Fraction(stern(n), stern(n + 1))
-            != 1 / (2 * ruler(n) + 1 - Fraction(stern(n - 1), stern(n)))
+            for sn in [stern(n)]
+            if sn * ((2 * ruler(n) + 1) * sn - stern(n - 1)) != stern(n + 1) * sn
         ),
         (("delta", n) for n in range(2, limit + 1)
          if delta_expansion(n).total != stern(2 * n - 1)),

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -125,6 +126,20 @@ def test_histogram_budget(monkeypatch):
         histogram(5)
     with pytest.raises(ValueError):
         histogram(-1)
+
+
+def test_histogram_lanes_hold_every_enumerated_length():
+    # histogram packs one length per lane; the longest word of the largest
+    # order must fit, or the lanes would carry into each other
+    assert fib(distribution.MAX_ENUMERATED_ORDER + 1) < 2 ** (8 * distribution._LANE)
+
+
+def test_histogram_refuses_orders_past_the_lane(monkeypatch):
+    monkeypatch.setattr(distribution, "MAX_ENUMERATED_ORDER", 100)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="MAX_ENUMERATED_ORDER"):
+        histogram(50)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_support_bounds_and_gaps():
