@@ -36,7 +36,6 @@ from .distribution import (
     summarize,
     summarize_histogram,
     totient,
-    totient_identity_check,
     word_class,
 )
 from .fracs import Frac, frac

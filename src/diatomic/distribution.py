@@ -6,11 +6,11 @@ k + 2 (constant directives) and the Fibonacci number F(k+1) (alternating
 directives), total mass 2 * 3^k, with structured gaps just above the
 minimum and just below the maximum.
 
-Both exhaustive enumerations read the period pairs of a whole tree level
-as two lists.  One level doubles the previous one: the ``a`` child of
-(p_a, p_b) is (p_a, p_a + p_b) and the ``b`` child is (p_a + p_b, p_b),
-which is the row doubling s(2n) = s(n), s(2n+1) = s(n) + s(n+1) of
-Stern's sequence.
+``histogram`` is the one exhaustive enumeration; it reads the period
+pairs of half a tree level as two lists.  One level doubles the previous
+one: the ``a`` child of (p_a, p_b) is (p_a, p_a + p_b) and the ``b``
+child is (p_a + p_b, p_b), which is the row doubling s(2n) = s(n),
+s(2n+1) = s(n) + s(n+1) of Stern's sequence.
 
 ``histogram`` counts one word per class of the symmetries that keep
 the length: complement, and reversal, which is the bit-reversal symmetry
@@ -41,6 +41,9 @@ a whole row are the lanes of one integer product and cost no Python
 step each.  Every lane holds the length of an order-k word, at most
 F(k+1), so no lane carries while F(k+1) fits one; orders past that lane
 bound are refused.  The lengths reach ``Counter.update`` in batches.
+
+``bound_report`` enumerates nothing of its own: each of its predicates
+reads the histogram's counts and the lengths of at most 12 fixed words.
 """
 
 from __future__ import annotations
@@ -48,16 +51,17 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd
 from operator import add
 
 from .continuants import cf_terms, fib
-from .words import BudgetError, complement, decode
+from .palindromes import period_pair
+from .words import BudgetError, complement
 
-#: Largest order accepted by the exhaustive enumerations, read at call time.
+#: Largest order accepted by ``histogram``, read at call time.
 MAX_ENUMERATED_ORDER = 26
 
 #: ``histogram`` hands its row lengths to ``Counter.update`` in batches
@@ -285,13 +289,6 @@ def counts_for_length(n: int) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
-def totient_identity_check(n_max: int) -> bool:
-    """Whether sum over k of C_k(n) equals phi(n) for every 2 <= n <= n_max."""
-    return all(
-        sum(counts_for_length(n).values()) == totient(n) for n in range(2, n_max + 1)
-    )
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Outcome of the exhaustive order-k length bound checks."""
@@ -308,74 +305,58 @@ class BoundReport:
 
     @property
     def passed(self) -> bool:
-        return all(
-            (
-                self.least_length_ok,
-                self.nonconstant_floor_ok,
-                self.floor_equality_ok,
-                self.greatest_length_ok,
-                self.nonalternating_ceiling_ok,
-                self.ceiling_equality_ok,
-                self.consecutive_lengths_ok,
-                self.missing_floor_ok,
-            )
-        )
+        return all(astuple(self)[1:])  # every field after the order is a predicate
+
+
+def bound_report_histogram(h: LengthHistogram) -> BoundReport:
+    """Every length bound and equality class of an order k >= 3, read
+    from its histogram.
+
+    Each predicate names a finite set S of words: the constants, the
+    alternating pair, or the class of a b^(k-1) or of the almost
+    alternating word.  The words of length n are exactly S iff C_k(n) =
+    |S| and every word of S has length n; no word outside S is shorter
+    than f iff C_k counts as many words shorter than f as S holds.  So
+    the counts and the lengths of these at most 12 words settle every
+    predicate.
+    """
+    k, counts = h.order, h.counts
+    if k < 3:
+        raise ValueError("bound checks need order k >= 3")
+    lo, floor, top = k + 2, 2 * k + 1, fib(k + 1)
+    ceiling = top - fib(k - 4)
+    constants = {"a" * k, "b" * k}
+    alternating_pair = {alternating(k, "a"), alternating(k, "b")}
+    floor_class = word_class("a" + "b" * (k - 1))
+    ceiling_class = word_class(almost_alternating(k))
+    length = {v: sum(period_pair(v)) for v in (
+        *constants, *alternating_pair, *floor_class, *ceiling_class)}
+
+    def exactly(n: int, words: set[str]) -> bool:
+        return counts.get(n, 0) == len(words) and all(length[v] == n for v in words)
+
+    support = counts.keys()
+    missing = top - lo + 1 - sum(1 for n in support if lo <= n <= top)
+    return BoundReport(
+        k,
+        min(support) >= lo and exactly(lo, constants),
+        sum(c for n, c in counts.items() if n < floor)
+        == sum(1 for v in constants if length[v] < floor),
+        exactly(floor, floor_class),
+        max(support) <= top and exactly(top, alternating_pair),
+        sum(c for n, c in counts.items() if n > ceiling)
+        == sum(1 for v in alternating_pair if length[v] > ceiling),
+        exactly(ceiling, ceiling_class),
+        {3 * k - 2, 3 * k - 1, 5 * k - 8, 5 * k - 7} <= support,
+        missing >= fib(k - 4) + k - 3,
+    )
 
 
 def bound_report(k: int) -> BoundReport:
     """Check every length bound and equality class over all of order k >= 3."""
     if k < 3:
         raise ValueError("bound checks need order k >= 3")
-    _check_order(k)
-
-    lengths = list(map(add, *_descendants(k)))
-    lo, top = k + 2, fib(k + 1)
-    floor = 2 * k + 1
-    ceiling = top - fib(k - 4)
-    # every predicate but the last two reads only lengths outside
-    # (floor, ceiling), so only those directives are spelled out
-    extremal = {
-        decode(i).rjust(k, "a"): n
-        for i, n in enumerate(lengths)
-        if not floor < n < ceiling
-    }
-    alternating_pair = {alternating(k, "a"), alternating(k, "b")}
-    constants = {"a" * k, "b" * k}
-
-    least_ok = all(n >= lo for n in extremal.values()) and (
-        {v for v, n in extremal.items() if n == lo} == constants
-    )
-    nonconstant_floor_ok = all(
-        n >= floor for v, n in extremal.items() if v not in constants
-    )
-    floor_equality_ok = {v for v, n in extremal.items() if n == floor} == word_class(
-        "a" + "b" * (k - 1)
-    )
-    greatest_ok = all(n <= top for n in extremal.values()) and (
-        {v for v, n in extremal.items() if n == top} == alternating_pair
-    )
-    nonalternating_ceiling_ok = all(
-        n <= ceiling for v, n in extremal.items() if v not in alternating_pair
-    )
-    ceiling_equality_ok = {v for v, n in extremal.items() if n == ceiling} == word_class(
-        almost_alternating(k)
-    )
-    support = set(lengths)
-    consecutive_ok = {3 * k - 2, 3 * k - 1, 5 * k - 8, 5 * k - 7} <= support
-    missing = sum(1 for n in range(lo, top + 1) if n not in support)
-    missing_floor_ok = missing >= fib(k - 4) + k - 3
-
-    return BoundReport(
-        k,
-        least_ok,
-        nonconstant_floor_ok,
-        floor_equality_ok,
-        greatest_ok,
-        nonalternating_ceiling_ok,
-        ceiling_equality_ok,
-        consecutive_ok,
-        missing_floor_ok,
-    )
+    return bound_report_histogram(histogram(k))
 
 
 def _golden_upper() -> Fraction:

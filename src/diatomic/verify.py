@@ -15,6 +15,10 @@ Every range is clamped: word lengths and orders stop at 22 at most, and
 integer arguments at 2^16 (the Stern evaluators; every other integer
 range stops at 2^14 or below).  Bounds past the clamps cost no more than
 the clamps themselves, so the suite has a fixed ceiling for any bounds.
+
+Each order's length histogram is built once per run and read by four
+checks: its invariants, the published tables, the paper's length bounds
+and, at short lengths, the per-length counts of the residue route.
 """
 
 from __future__ import annotations
@@ -26,11 +30,12 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .christoffel import christoffel_by_slope, lyndon_factorization
 from .continuants import christoffel_length_cf, fib, mirror_formula
 from .distribution import (
-    bound_report,
+    bound_report_histogram,
+    counts_for_length,
     histogram,
     max_count_lower_bound,
     summarize_histogram,
-    totient_identity_check,
+    totient,
 )
 from .fracs import frac
 from .palindromes import min_period_central, mu, period_pair, psi, psi_inverse, psi_prefix
@@ -298,9 +303,13 @@ def check_integral_continuant(max_k: int, max_n: int) -> CheckResult:
     return _verdict("integral-continuant-stern", f"s(nu(w)) continuant for |w| <= {k}", failures)
 
 
+#: Lengths up to which ``totient-identity`` compares each order's counts.
+_SHORT_LENGTHS = 300
+
+
 class _OrderFigures(NamedTuple):
-    """The few figures of one order's histogram that the two histogram
-    checks read; the histogram itself is dropped once they are taken."""
+    """The few figures of one order's histogram that the histogram checks
+    read; the histogram itself is dropped once they are taken."""
 
     mass: int
     weighted_mass: int
@@ -309,6 +318,8 @@ class _OrderFigures(NamedTuple):
     max_count: int
     argmax: frozenset[int]
     missing_count: int
+    bounds_passed: bool  # the paper's length bounds; vacuous below order 3
+    short_counts: dict[int, int]  # C_k(n) for n <= _SHORT_LENGTHS
 
 
 @cache
@@ -319,6 +330,8 @@ def _order(k: int) -> _OrderFigures:
     return _OrderFigures(
         h.mass, h.weighted_mass, support[0], support[-1],
         s.max_count, frozenset(s.argmax), s.missing_count,
+        k < 3 or bound_report_histogram(h).passed,
+        {n: c for n, c in h.counts.items() if n <= _SHORT_LENGTHS},
     )
 
 
@@ -335,8 +348,6 @@ def check_histograms(max_k: int, max_n: int) -> CheckResult:
 
 
 def check_tables(max_k: int, max_n: int) -> CheckResult:
-    # the published rows reach order 22; raising --max-k past 14 turns on
-    # the slow tail (order k enumerates 2^k directives)
     top = min(max_k, 22)
     failures = itertools.chain(
         (
@@ -360,15 +371,25 @@ def check_tables(max_k: int, max_n: int) -> CheckResult:
 
 
 def check_bounds(max_k: int, max_n: int) -> CheckResult:
-    top = min(max_k, 14)
-    failures = (k for k in range(3, top + 1) if not bound_report(k).passed)
+    top = min(max_k, 22)
+    failures = (k for k in range(3, top + 1) if not _order(k).bounds_passed)
     return _verdict("length-bounds", f"extremal classes for 3 <= k <= {top}", failures)
 
 
 def check_totient(max_k: int, max_n: int) -> CheckResult:
-    limit = min(max_n, 300)
-    ok = totient_identity_check(limit)
-    return CheckResult("totient-identity", ok, f"order sums equal phi(n) for n <= {limit}")
+    limit = min(max_n, _SHORT_LENGTHS)
+    top = min(max_k, 22)
+    by_length = {n: counts_for_length(n) for n in range(2, limit + 1)}
+    failures = itertools.chain(
+        (("totient", n) for n, c in by_length.items() if sum(c.values()) != totient(n)),
+        (
+            ("histogram", n, k) for n, c in by_length.items()
+            for k in range(top + 1)
+            if c.get(k, 0) != _order(k).short_counts.get(n, 0)
+        ),
+    )
+    detail = f"order sums equal phi(n), orders equal histograms for n <= {limit}, k <= {top}"
+    return _verdict("totient-identity", detail, failures)
 
 
 def check_fibonacci_word(max_k: int, max_n: int) -> CheckResult:
@@ -414,10 +435,6 @@ ALL_CHECKS: list[Callable[[int, int], CheckResult]] = [
 
 
 def run_checks(max_k: int = DEFAULT_MAX_K, max_n: int = DEFAULT_MAX_N) -> list[CheckResult]:
-    """Run the whole suite with the given exhaustive bounds.
-
-    Each order's histogram is built once per run, for the two checks
-    that read it.
-    """
+    """Run the whole suite with the given exhaustive bounds."""
     _order.cache_clear()
     return [check(max_k, max_n) for check in ALL_CHECKS]

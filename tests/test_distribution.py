@@ -9,16 +9,17 @@ from diatomic.continuants import cf_terms, fib
 from diatomic import distribution
 from diatomic.distribution import (
     BoundReport,
+    LengthHistogram,
     _descendants,
     almost_alternating,
     alternating,
     bound_report,
+    bound_report_histogram,
     counts_for_length,
     histogram,
     max_count_lower_bound,
     summarize,
     totient,
-    totient_identity_check,
     word_class,
 )
 from diatomic.palindromes import period_pair
@@ -247,10 +248,6 @@ def test_counts_for_length_example():
     assert sum(counts_for_length(11).values()) == 10 == totient(11)
 
 
-def test_totient_identity():
-    assert totient_identity_check(300)
-
-
 def test_bound_report():
     for k in range(3, 13):
         assert bound_report(k).passed
@@ -284,8 +281,48 @@ def brute_bound_report(k):
 
 
 def test_bound_report_matches_brute_force():
-    for k in range(3, 11):
+    for k in range(3, 17):
         assert bound_report(k) == brute_bound_report(k)
+
+
+def moved(counts, source, target, c=1):
+    """``counts`` with c words of length ``source`` given length ``target``."""
+    edited = dict(counts)
+    edited[target] = edited.get(target, 0) + c
+    edited[source] -= c
+    return {n: m for n, m in sorted(edited.items()) if m}
+
+
+def test_bound_report_reads_each_predicate_from_the_counts():
+    # order 6: constants at 8, floor 13, ceiling 31, alternating pair at 34,
+    # consecutive lengths 16, 17, 22, 23; 26 is none of these
+    counts = histogram(6).counts
+    assert (min(counts), max(counts), counts[13], counts[31], counts[26]) == (8, 34, 4, 4, 4)
+    assert bound_report_histogram(histogram(6)).passed
+
+    def failed(edited):
+        report = vars(bound_report_histogram(LengthHistogram(6, edited)))
+        return [name for name, ok in report.items() if ok is False]
+
+    assert failed(moved(counts, 8, 9)) == ["least_length_ok"]  # a constant one longer
+    assert failed(moved(counts, 26, 10)) == ["nonconstant_floor_ok"]
+    assert failed(moved(counts, 26, 13)) == ["floor_equality_ok"]
+    assert failed(moved(counts, 34, 35)) == ["greatest_length_ok"]  # an alternating word
+    assert failed(moved(counts, 26, 32)) == ["nonalternating_ceiling_ok"]
+    assert failed(moved(counts, 26, 31)) == ["ceiling_equality_ok"]
+    assert failed(moved(counts, 16, 26, 4)) == ["consecutive_lengths_ok"]
+    # a word past either end, with the extremal counts kept, also breaks
+    # the floor or the ceiling beside it
+    assert failed(moved(counts, 26, 7)) == ["least_length_ok", "nonconstant_floor_ok"]
+    assert failed(moved(counts, 26, 35)) == ["greatest_length_ok", "nonalternating_ceiling_ok"]
+    # the missing-length floor F(k-4) + k - 3 counts exactly the lengths of
+    # the two gaps (k+2, 2k+1) and (F(k+1) - F(k-4), F(k+1)): filling every
+    # other missing length meets it, and no edit breaks it alone
+    middle = counts
+    for n in (14, 15, 18, 21, 28):  # from the 8 words of length 23
+        middle = moved(middle, 23, n)
+    assert failed(middle) == []
+    assert failed(moved(middle, 23, 9)) == ["nonconstant_floor_ok", "missing_floor_ok"]
 
 
 def test_bound_report_k4_equality_class():

@@ -2,11 +2,22 @@ import time
 from collections import Counter
 from dataclasses import replace
 
+import pytest
+
 from diatomic import verify
+from diatomic.distribution import counts_for_length
 from diatomic.fracs import Frac
 
 
-def test_histogram_checks_build_each_order_once(monkeypatch):
+@pytest.fixture
+def fresh_orders():
+    """Each order's record built anew, by whatever the test patches."""
+    verify._order.cache_clear()
+    yield
+    verify._order.cache_clear()
+
+
+def test_histogram_checks_build_each_order_once(monkeypatch, fresh_orders):
     calls = Counter()
     original = verify.histogram
 
@@ -15,11 +26,11 @@ def test_histogram_checks_build_each_order_once(monkeypatch):
         return original(k, *args)
 
     monkeypatch.setattr(verify, "histogram", counted)
-    verify._order.cache_clear()
     assert verify.check_histograms(12, 0).ok
     assert verify.check_tables(12, 0).ok
+    assert verify.check_bounds(12, 0).ok
+    assert verify.check_totient(12, 300).ok
     assert calls == {k: 1 for k in range(13)}
-    verify._order.cache_clear()
 
 
 def test_directive_roundtrip_catches_a_wrong_slope_word(monkeypatch):
@@ -63,7 +74,7 @@ def test_verdict_reads_only_up_to_the_first_failure():
     assert verify._verdict("x", "d", iter(())) == verify.CheckResult("x", True, "d")
 
 
-def test_failures_name_their_first_case(monkeypatch):
+def test_failures_name_their_first_case(monkeypatch, fresh_orders):
     original_subwords = verify.stern_via_subwords
     monkeypatch.setattr(
         verify, "stern_via_subwords", lambda n: original_subwords(n) + (n == 37)
@@ -71,11 +82,11 @@ def test_failures_name_their_first_case(monkeypatch):
     result = verify.check_stern_evaluators(0, 64)
     assert not result.ok and result.detail.endswith("; first failure: 37")
 
-    original_report = verify.bound_report
+    original_report = verify.bound_report_histogram
     monkeypatch.setattr(
         verify,
-        "bound_report",
-        lambda k: replace(original_report(k), least_length_ok=k != 5),
+        "bound_report_histogram",
+        lambda h: replace(original_report(h), least_length_ok=h.order != 5),
     )
     result = verify.check_bounds(8, 0)
     assert not result.ok and result.detail.endswith("; first failure: 5")
@@ -83,6 +94,33 @@ def test_failures_name_their_first_case(monkeypatch):
     monkeypatch.setattr(verify, "ruler", lambda n: 0)
     result = verify.check_stern_identities(4, 64)
     assert not result.ok and result.detail.endswith("; first failure: ('quotient', 2)")
+
+
+def test_totient_identity(fresh_orders):
+    result = verify.check_totient(16, 300)
+    assert result == verify.CheckResult(
+        "totient-identity", True,
+        "order sums equal phi(n), orders equal histograms for n <= 300, k <= 16",
+    )
+
+
+def test_totient_identity_names_its_first_case(monkeypatch, fresh_orders):
+    # a wrong totient, then a count moved one order up at one length: the
+    # sum still equals phi(n), so only the histogram route catches it
+    original_totient = verify.totient
+    monkeypatch.setattr(verify, "totient", lambda n: original_totient(n) + (n == 37))
+    result = verify.check_totient(12, 64)
+    assert not result.ok and result.detail.endswith("; first failure: ('totient', 37)")
+
+    monkeypatch.setattr(verify, "totient", original_totient)
+    monkeypatch.setattr(
+        verify,
+        "counts_for_length",
+        lambda n: {k + (n == 40): c for k, c in counts_for_length(n).items()},
+    )
+    result = verify.check_totient(12, 64)
+    first = min(counts_for_length(40))
+    assert not result.ok and result.detail.endswith(f"; first failure: ('histogram', 40, {first})")
 
 
 def test_stern_evaluators_clamp_max_n():
