@@ -7,11 +7,15 @@ range controlled by ``max_k`` (word lengths / orders) and ``max_n``
 unit tests: they are the runnable summary behind the ``verify`` CLI
 command.
 
-One verdict rule decides every check over a family of cases: the check
-lists its failing cases lazily, passes when there are none, and ends at
-the first one, which the detail of its FAIL then names.
+Each check is declared once, with ``@_check(name, k=..., n=...)``: the
+runner clamps the bounds to the declared ``k`` and ``n`` and calls the
+body, which returns its detail and lists its failing cases lazily.  One
+verdict rule decides every check: it passes when there are no failing
+cases, and ends at the first one, which the detail of its FAIL then
+names.  An exception in a check fails that check alone, with the
+exception in its detail; the other checks still run.
 
-Every range is clamped: word lengths and orders stop at 22 at most, and
+The declared clamps stop word lengths and orders at 22 at most, and
 integer arguments at 2^16 (the Stern evaluators; every other integer
 range stops at 2^14 or below).  Bounds past the clamps cost no more than
 the clamps themselves, so the suite has a fixed ceiling for any bounds.
@@ -24,7 +28,8 @@ and, at short lengths, the per-length counts of the residue route.
 from __future__ import annotations
 
 import itertools
-from functools import cache
+from functools import cache, wraps
+from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .christoffel import christoffel_by_slope, lyndon_factorization
@@ -37,7 +42,6 @@ from .distribution import (
     summarize_histogram,
     totient,
 )
-from .fracs import frac
 from .palindromes import min_period_central, mu, period_pair, psi, psi_inverse, psi_prefix
 from .stern import (
     delta_expansion,
@@ -114,42 +118,64 @@ def _verdict(name: str, detail: str, failures: Iterable[object]) -> CheckResult:
     return CheckResult(name, True, detail)
 
 
+#: The suite in declaration order: ``check(max_k, max_n)`` for each check.
+ALL_CHECKS: list[Callable[[int, int], CheckResult]] = []
+
+
+def _check(name: str, k: int = 0, n: int = 0):
+    """Declare the check ``name``: its body receives the bounds clamped to
+    ``k`` and ``n`` and returns ``(detail, failures)``."""
+
+    def declare(body: Callable[[int, int], tuple[str, Iterable[object]]]):
+        @wraps(body)
+        def check(max_k: int, max_n: int) -> CheckResult:
+            try:
+                return _verdict(name, *body(min(max_k, k), min(max_n, n)))
+            except Exception as exc:
+                return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
+
+        ALL_CHECKS.append(check)
+        return check
+
+    return declare
+
+
 def _words_up_to(k: int) -> Iterator[str]:
     for m in range(k + 1):
         for letters in itertools.product("ab", repeat=m):
             yield "".join(letters)
 
 
-def check_stern_prefix(max_k: int, max_n: int) -> CheckResult:
-    failures = (n for n, value in enumerate(STERN_PREFIX) if stern(n) != value)
-    return _verdict("stern-prefix-values", "first 33 values", failures)
+@_check("stern-prefix-values")
+def check_stern_prefix(_k: int, _n: int):
+    return "first 33 values", (n for n, value in enumerate(STERN_PREFIX) if stern(n) != value)
 
 
-def check_stern_evaluators(max_k: int, max_n: int) -> CheckResult:
-    # the one integer range past 2^14: its clamp sets the suite's ceiling
-    limit = min(max_n, 2**16)
-    zeta_limit = min(max_n, 2048)
+# the one integer range past 2^14: its clamp sets the suite's ceiling
+@_check("stern-evaluator-agreement", n=2**16)
+def check_stern_evaluators(_k: int, limit: int):
+    zeta_limit = min(limit, 2048)
     failures = itertools.chain(
         (n for n in range(limit + 1)
          if not stern(n) == stern_via_christoffel(n) == stern_via_subwords(n)),
         (n for n, value in enumerate(zeta_sterns(zeta_limit), start=2) if stern(n) != value),
     )
     detail = f"recurrence = words = subwords on 0..{limit}, = continuant on 2..{zeta_limit}"
-    return _verdict("stern-evaluator-agreement", detail, failures)
+    return detail, failures
 
 
-def check_odd_even_correspondence(max_k: int, max_n: int) -> CheckResult:
-    k = min(max_k, 12)
+@_check("odd-length-even-period", k=12)
+def check_odd_even_correspondence(k: int, _n: int):
     failures = (
         w for w in _words_up_to(k)
         if stern(encode("b" + w + "b")) != sum(period_pair(w))
         or stern(encode("b" + w + "b") + 1) != min_period_central(w + "b")
     )
-    return _verdict("odd-length-even-period", f"s at <bwb>, <bwb>+1 for |w| <= {k}", failures)
+    return f"s at <bwb>, <bwb>+1 for |w| <= {k}", failures
 
 
-def check_palindromization_composition(max_k: int, max_n: int) -> CheckResult:
-    bound = min(max_k, 10)
+@_check("palindromization-composition", k=10)
+def check_palindromization_composition(bound: int, _n: int):
     image = {w: psi(w) for w in _words_up_to(bound)}
     failures = (
         (v, u) for m in range(bound + 1)
@@ -158,19 +184,17 @@ def check_palindromization_composition(max_k: int, max_n: int) -> CheckResult:
         for u in ("".join(t) for t in itertools.product("ab", repeat=m - split))
         if image[v + u] != mu(v, image[u]) + image[v]
     )
-    detail = f"psi(vu) = mu_v(psi(u)) psi(v), |vu| <= {bound}"
-    return _verdict("palindromization-composition", detail, failures)
+    return f"psi(vu) = mu_v(psi(u)) psi(v), |vu| <= {bound}", failures
 
 
-def check_directive_roundtrip(max_k: int, max_n: int) -> CheckResult:
-    k = min(max_k, 12)
-    limit = min(max_n, 200)
+@_check("directive-roundtrips", k=12, n=200)
+def check_directive_roundtrip(k: int, limit: int):
     failures = itertools.chain(
         (("psi", v) for v in _words_up_to(k) if psi_inverse(psi(v)) != v),
         (
             ("slope", p, q) for p in range(1, limit + 1)
             for q in range(1, limit + 1 - p)
-            if frac(p, q) == (p, q)
+            if gcd(p, q) == 1
             for cw in [christoffel_by_slope(p, q)]
             if cw.directive is None
             or cw.word[0] + cw.word[-1] != "ab"
@@ -178,13 +202,11 @@ def check_directive_roundtrip(max_k: int, max_n: int) -> CheckResult:
             or not stern_brocot(cw.directive) == cw.slope == (p, q)
         ),
     )
-    detail = f"psi and slope inversions, |v| <= {k}, p+q <= {limit}"
-    return _verdict("directive-roundtrips", detail, failures)
+    return f"psi and slope inversions, |v| <= {k}, p+q <= {limit}", failures
 
 
-def check_factorization(max_k: int, max_n: int) -> CheckResult:
-    k = min(max_k, 10)
-
+@_check("lyndon-factorization", k=10)
+def check_factorization(k: int, _n: int):
     def fails(v: str) -> bool:
         cw = christoffel_by_slope(*stern_brocot(v))
         w1, w2 = lyndon_factorization(cw)
@@ -197,44 +219,40 @@ def check_factorization(max_k: int, max_n: int) -> CheckResult:
             or (len(w2.word) * q) % n != 1
         )
 
-    detail = f"split, order, modular inverses for |v| <= {k}"
-    return _verdict("lyndon-factorization", detail, filter(fails, _words_up_to(k)))
+    return f"split, order, modular inverses for |v| <= {k}", filter(fails, _words_up_to(k))
 
 
-def check_occurrence_markers(max_k: int, max_n: int) -> CheckResult:
-    k = min(max_k, 10)
+@_check("occurrence-markers", k=10)
+def check_occurrence_markers(k: int, _n: int):
     failures = (w for w in _words_up_to(k) if marked_occurrences(w)[0] != psi(w) + "ba")
-    detail = f"sorted markers spell psi(w)ba for |w| <= {k}"
-    return _verdict("occurrence-markers", detail, failures)
+    return f"sorted markers spell psi(w)ba for |w| <= {k}", failures
 
 
-def check_subword_counts(max_k: int, max_n: int) -> CheckResult:
-    k = min(max_k, 12)
+@_check("pattern-subword-counts", k=12)
+def check_subword_counts(k: int, _n: int):
     failures = (
         v for v in _words_up_to(k)
         if length_by_subword_count(v) != sum(period_pair(v))
         or initial_subword_count(v) != ("a" + psi(v) + "b").count("a")
         or (not is_constant(v) and period_by_subword_count(v) != min_period_central(v))
     )
-    detail = f"lengths, letter counts and periods for |v| <= {k}"
-    return _verdict("pattern-subword-counts", detail, failures)
+    return f"lengths, letter counts and periods for |v| <= {k}", failures
 
 
-def check_factor_decomposition(max_k: int, max_n: int) -> CheckResult:
-    k = min(max_k, 12)
+@_check("weighted-factor-decomposition", k=12, n=512)
+def check_factor_decomposition(k: int, limit: int):
     failures = itertools.chain(
         (
             ("factors", w) for w in _words_up_to(k)
             if factor_decomposition(w).total != sum(period_pair(w))
         ),
-        (("stern", n) for n in range(min(max_n, 512) + 1) if not stern_factor_identity(n)),
+        (("stern", n) for n in range(limit + 1) if not stern_factor_identity(n)),
     )
-    detail = f"totals equal lengths for |w| <= {k}"
-    return _verdict("weighted-factor-decomposition", detail, failures)
+    return f"totals equal lengths for |w| <= {k}", failures
 
 
-def check_tree_duality(max_k: int, max_n: int) -> CheckResult:
-    k = min(max_k, 12)
+@_check("tree-duality", k=12)
+def check_tree_duality(k: int, _n: int):
     failures = (
         w for w in _words_up_to(k)
         for ra in [raney(w)]
@@ -242,38 +260,36 @@ def check_tree_duality(max_k: int, max_n: int) -> CheckResult:
         or raney(complement(w)) != ra.inverse
         or path_of_fraction(ra, "raney") != w
     )
-    detail = f"reversal, complement inversion, path inverse for |w| <= {k}"
-    return _verdict("tree-duality", detail, failures)
+    return f"reversal, complement inversion, path inverse for |w| <= {k}", failures
 
 
-def check_mirror_formula(max_k: int, max_n: int) -> CheckResult:
-    k = min(max_k, 12)
+@_check("mirror-formula", k=12)
+def check_mirror_formula(k: int, _n: int):
     failures = (v for v in _words_up_to(k) if mirror_formula(v) != (stern_brocot(v), raney(v)))
-    detail = f"continued fractions match tree labels for |v| <= {k}"
-    return _verdict("mirror-formula", detail, failures)
+    return f"continued fractions match tree labels for |v| <= {k}", failures
 
 
-def check_continuant_length(max_k: int, max_n: int) -> CheckResult:
-    k = min(max_k, 14)
+@_check("continuant-length-period", k=14)
+def check_continuant_length(k: int, _n: int):
     failures = (
         v for v in _words_up_to(k)
         if christoffel_length_cf(v) != (sum(period_pair(v)), min_period_central(v))
     )
-    return _verdict("continuant-length-period", f"continuant route for |v| <= {k}", failures)
+    return f"continuant route for |v| <= {k}", failures
 
 
-def check_ra_numbering(max_k: int, max_n: int) -> CheckResult:
-    limit = min(max_n, 4096)
+@_check("tree-numbering-stern", n=4096)
+def check_ra_numbering(_k: int, limit: int):
     failures = (n for n in range(2, limit + 1) if ra_of(n) != (stern(n - 1), stern(n)))
-    return _verdict("tree-numbering-stern", f"ra(n) = s(n-1)/s(n) for n <= {limit}", failures)
+    return f"ra(n) = s(n-1)/s(n) for n <= {limit}", failures
 
 
-def check_stern_identities(max_k: int, max_n: int) -> CheckResult:
-    limit = min(max_n, 4096)
+@_check("stern-identities", k=13, n=4096)
+def check_stern_identities(top: int, limit: int):
     failures = itertools.chain(
         (("reversal", n) for n in range(limit + 1) if stern(n) != stern(reverse_bits(n))),
         (
-            ("symmetry", k, p) for k in range(min(max_k, 12) + 1)
+            ("symmetry", k, p) for k in range(min(top, 12) + 1)
             for p in range(1, 2**k + 1)
             if stern(2**k + p) != stern(2 ** (k + 1) - p)
         ),
@@ -287,20 +303,19 @@ def check_stern_identities(max_k: int, max_n: int) -> CheckResult:
         (("delta", n) for n in range(2, limit + 1)
          if delta_expansion(n).total != stern(2 * n - 1)),
         (
-            ("zigzag", k, p) for k in range(3, min(max_k, 13) + 1)
+            ("zigzag", k, p) for k in range(3, top + 1)
             for p in range(2 ** (k - 3))
             if not stern(2**k + 8 * p + 1) < stern(2**k + 8 * p + 3)
             or not stern(2**k + 8 * p + 5) > stern(2**k + 8 * p + 7)
         ),
     )
-    detail = f"bit reversal, symmetry, quotient steps for n <= {limit}"
-    return _verdict("stern-identities", detail, failures)
+    return f"bit reversal, symmetry, quotient steps for n <= {limit}", failures
 
 
-def check_integral_continuant(max_k: int, max_n: int) -> CheckResult:
-    k = min(max_k, 12)
+@_check("integral-continuant-stern", k=12)
+def check_integral_continuant(k: int, _n: int):
     failures = (w for w in _words_up_to(k) if stern_via_integral_continuant(w) != stern(nu(w)))
-    return _verdict("integral-continuant-stern", f"s(nu(w)) continuant for |w| <= {k}", failures)
+    return f"s(nu(w)) continuant for |w| <= {k}", failures
 
 
 #: Lengths up to which ``totient-identity`` compares each order's counts.
@@ -335,20 +350,19 @@ def _order(k: int) -> _OrderFigures:
     )
 
 
-def check_histograms(max_k: int, max_n: int) -> CheckResult:
-    top = min(max_k, 22)
+@_check("histogram-invariants", k=22)
+def check_histograms(top: int, _n: int):
     failures = (
         k for k in range(top + 1)
         for f in [_order(k)]
         if f.mass != 2**k or f.weighted_mass != 2 * 3**k
         or f.shortest < k + 2 or f.longest > fib(k + 1)
     )
-    detail = f"mass 2^k, weighted mass 2*3^k for k <= {top}"
-    return _verdict("histogram-invariants", detail, failures)
+    return f"mass 2^k, weighted mass 2*3^k for k <= {top}", failures
 
 
-def check_tables(max_k: int, max_n: int) -> CheckResult:
-    top = min(max_k, 22)
+@_check("published-table-pins", k=22)
+def check_tables(top: int, _n: int):
     failures = itertools.chain(
         (
             k for k in range(1, top + 1)
@@ -367,18 +381,17 @@ def check_tables(max_k: int, max_n: int) -> CheckResult:
         f"max counts and missing lengths for k <= {top},"
         f" golden-ratio lower bound for k <= {max(MAX_COUNT_TABLE)}"
     )
-    return _verdict("published-table-pins", detail, failures)
+    return detail, failures
 
 
-def check_bounds(max_k: int, max_n: int) -> CheckResult:
-    top = min(max_k, 22)
+@_check("length-bounds", k=22)
+def check_bounds(top: int, _n: int):
     failures = (k for k in range(3, top + 1) if not _order(k).bounds_passed)
-    return _verdict("length-bounds", f"extremal classes for 3 <= k <= {top}", failures)
+    return f"extremal classes for 3 <= k <= {top}", failures
 
 
-def check_totient(max_k: int, max_n: int) -> CheckResult:
-    limit = min(max_n, _SHORT_LENGTHS)
-    top = min(max_k, 22)
+@_check("totient-identity", k=22, n=_SHORT_LENGTHS)
+def check_totient(top: int, limit: int):
     by_length = {n: counts_for_length(n) for n in range(2, limit + 1)}
     failures = itertools.chain(
         (("totient", n) for n, c in by_length.items() if sum(c.values()) != totient(n)),
@@ -389,49 +402,29 @@ def check_totient(max_k: int, max_n: int) -> CheckResult:
         ),
     )
     detail = f"order sums equal phi(n), orders equal histograms for n <= {limit}, k <= {top}"
-    return _verdict("totient-identity", detail, failures)
+    return detail, failures
 
 
-def check_fibonacci_word(max_k: int, max_n: int) -> CheckResult:
+@_check("fibonacci-word-prefix")
+def check_fibonacci_word(_k: int, _n: int):
     target = psi("ab" * 6)
-    ok = psi_prefix("", "ab", len(target)) == target and target.startswith("abaababaabaab")
-    return CheckResult("fibonacci-word-prefix", ok, "periodic directive limit")
+    prefix = psi_prefix("", "ab", len(target))
+    failures = itertools.chain(
+        (("prefix", i) for i, (x, y) in enumerate(itertools.zip_longest(prefix, target))
+         if x != y),
+        (("fibonacci", i) for i, x in enumerate("abaababaabaab") if target[i : i + 1] != x),
+    )
+    return "periodic directive limit", failures
 
 
-def check_alternating_numbers(max_k: int, max_n: int) -> CheckResult:
-    top = min(max_k, 16)
+@_check("alternating-directives", k=16)
+def check_alternating_numbers(top: int, _n: int):
     failures = (
         k for k in range(1, top + 1)
         if encode("b" + ("ab" * k)[: k - 1] + "b") != (2 ** (k + 2) + (-1) ** (k + 1)) // 3
         or sum(period_pair(("ab" * k)[:k])) != fib(k + 1)
     )
-    detail = f"tree numbers and Fibonacci lengths for k <= {top}"
-    return _verdict("alternating-directives", detail, failures)
-
-
-ALL_CHECKS: list[Callable[[int, int], CheckResult]] = [
-    check_stern_prefix,
-    check_stern_evaluators,
-    check_odd_even_correspondence,
-    check_palindromization_composition,
-    check_directive_roundtrip,
-    check_factorization,
-    check_occurrence_markers,
-    check_subword_counts,
-    check_factor_decomposition,
-    check_tree_duality,
-    check_mirror_formula,
-    check_continuant_length,
-    check_ra_numbering,
-    check_stern_identities,
-    check_integral_continuant,
-    check_histograms,
-    check_tables,
-    check_bounds,
-    check_totient,
-    check_fibonacci_word,
-    check_alternating_numbers,
-]
+    return f"tree numbers and Fibonacci lengths for k <= {top}", failures
 
 
 def run_checks(max_k: int = DEFAULT_MAX_K, max_n: int = DEFAULT_MAX_N) -> list[CheckResult]:

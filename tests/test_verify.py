@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from diatomic import verify
+from diatomic import cli, verify
 from diatomic.distribution import counts_for_length
 from diatomic.fracs import Frac
 
@@ -128,3 +128,32 @@ def test_stern_evaluators_clamp_max_n():
     result = verify.check_stern_evaluators(0, 10**8)
     assert time.perf_counter() - start < 2
     assert result.ok and "on 0..65536," in result.detail
+
+
+@pytest.mark.parametrize("error", [ValueError("boom"), KeyError("boom")])
+def test_a_raising_check_fails_alone(monkeypatch, capsys, error):
+    def raising(v):
+        raise error
+
+    monkeypatch.setattr(verify, "mirror_formula", raising)
+    results = verify.run_checks(4, 64)
+    assert [r for r in results if not r.ok] == [
+        verify.CheckResult("mirror-formula", False, f"raised {type(error).__name__}: {error}")
+    ]
+    assert cli.main(["verify", "--max-k", "4", "--max-n", "64"]) == 6
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "20/21 checks passed"
+    assert "Traceback" not in captured.err
+
+
+def test_fibonacci_word_names_its_first_differing_letter(monkeypatch):
+    original = verify.psi_prefix
+
+    def flipped(*args):
+        word = original(*args)
+        return word[:100] + {"a": "b", "b": "a"}[word[100]] + word[101:]
+
+    monkeypatch.setattr(verify, "psi_prefix", flipped)
+    result = verify.check_fibonacci_word(0, 0)
+    assert not result.ok
+    assert result.detail == "periodic directive limit; first failure: ('prefix', 100)"
