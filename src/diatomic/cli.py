@@ -42,6 +42,7 @@ from .distribution import histogram, summarize_histogram
 from .fracs import split_frac
 from .palindromes import pal_closure, period_pair, psi, psi_inverse
 from .stern import (
+    MARKED_OCCURRENCE_CAP,
     marked_occurrences,
     stern,
     stern_via_christoffel,
@@ -275,14 +276,17 @@ def _cmd_stern(args: argparse.Namespace) -> int:
 
 def _cmd_occ(args: argparse.Namespace) -> int:
     w = _parse_word(args.word, args.alphabet)
-    markers, rows = marked_occurrences(w)
-    if args.format == "text" and len(rows) > TEXT_ROW_LIMIT:
+    # the row count, known before any row is built; past the cap,
+    # marked_occurrences refuses first, with its own message
+    count = sum(period_pair(w))
+    if args.format == "text" and TEXT_ROW_LIMIT < count <= MARKED_OCCURRENCE_CAP:
         print(
-            f"{len(rows)} rows exceed the text limit of {TEXT_ROW_LIMIT};"
+            f"{count} rows exceed the text limit of {TEXT_ROW_LIMIT};"
             " use --format json or csv",
             file=sys.stderr,
         )
         return EXIT_BUDGET
+    markers, rows = marked_occurrences(w)
     lines = ["marker  key  occurrence"]
     lines += [
         f"{m.marker}  {','.join(map(str, m.reversed_key))}"

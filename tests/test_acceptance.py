@@ -1,236 +1,169 @@
-"""Acceptance suite: one test per shipped guarantee, each printing a
-PASS/FAIL line (run with -s to see them) and enforcing its runtime
-budget where one is stated.
+"""Acceptance suite: one test per shipped guarantee, each printing one
+``criterion NN PASS|FAIL`` line (run with -s to see them) and enforcing
+its runtime budget where one is stated.
+
+A criterion that states one of ``verify``'s identities runs the declared
+check at the criterion's bounds, so its line carries the check's detail
+and a FAIL names the first failing case.  What no check covers (the
+worked example, spot checks, and the ranges past verify's clamps) is
+decided by the same verdict rule, so it names its first failing case too.
 """
 
 import time
-from fractions import Fraction
-from math import gcd
 
-from conftest import words_of_length, words_up_to
+from conftest import words_of_length
 from diatomic import (
+    almost_alternating,
     alternating,
-    bound_report,
-    cf_value,
     christoffel_by_slope,
-    christoffel_length_cf,
-    counts_for_length,
-    delta_expansion,
-    directive_of,
-    encode,
     factor_decomposition,
     fib,
-    histogram,
     lyndon_factorization,
     marked_occurrences,
-    min_period_central,
-    mirror_formula,
     period_pair,
     psi,
-    psi_inverse,
-    psi_prefix,
-    ra_of,
-    raney,
     reverse_bits,
-    ruler,
-    stern_brocot,
-    stern_via_christoffel,
-    stern_via_subwords,
     stern_via_zeta,
-    summarize,
-    totient,
+    verify,
     word_class,
+    zeta_sterns,
 )
-from diatomic.distribution import almost_alternating
 from diatomic.stern import stern
-from diatomic.words import complement, reverse
-
-STERN_PREFIX = [0, 1, 1, 2, 1, 3, 2, 3, 1, 4, 3, 5, 2, 5, 3, 4,
-                1, 5, 4, 7, 3, 8, 5, 7, 2, 7, 5, 8, 3, 7, 4, 5, 1]
-
-MAX_COUNTS = {1: 2, 2: 2, 3: 4, 4: 4, 5: 4, 6: 8, 7: 12, 8: 12, 9: 16,
-              10: 24, 11: 28, 12: 36, 13: 48, 14: 64}
-LISTED_ARGMAX = {1: [3], 2: [4, 5], 3: [7], 4: [9, 11], 5: [11, 13, 14, 17, 18, 19],
-                 6: [23], 7: [41], 8: [43], 9: [71, 73, 83], 10: [113], 11: [227],
-                 12: [199, 283], 13: [449], 14: [433]}
-MISSING_COUNTS = [0, 0, 1, 2, 5, 11, 18, 29, 51, 74, 119, 195, 323, 498]
 
 
-def report(number, label, ok, elapsed=None, budget=None):
-    status = "PASS" if ok else "FAIL"
-    timing = ""
-    if elapsed is not None:
-        timing = f"  [{elapsed:.3f}s"
-        timing += f" < {budget}s]" if budget is not None else "]"
-    print(f"criterion {number:2d} {status}  {label}{timing}")
-    assert ok, f"criterion {number}: {label}"
+def facts(name, detail, **holds):
+    """A criterion's own assertions, named: FAIL at the first that fails."""
+    return verify._verdict(name, detail, (fact for fact, ok in holds.items() if not ok))
+
+
+def report(number, start, results, budget=None):
+    """Print the criterion's line, with the detail of each result, and
+    assert that every result passed within the budget."""
+    elapsed = time.perf_counter() - start
+    ok = all(r.ok for r in results)
+    details = " | ".join(f"{r.name}: {r.detail}" for r in results)
+    timing = f"  [{elapsed:.3f}s" + (f" < {budget}s]" if budget is not None else "]")
+    line = f"criterion {number:2d} {'PASS' if ok else 'FAIL'}  {details}{timing}"
+    print(line)
+    assert ok, line
     if budget is not None:
         assert elapsed < budget, f"criterion {number} exceeded {budget}s ({elapsed:.3f}s)"
 
 
 def test_criterion_01_stern_prefix():
     start = time.perf_counter()
-    values = [stern(n) for n in range(33)]
-    elapsed = time.perf_counter() - start
-    report(1, "first 33 Stern values", values == STERN_PREFIX, elapsed, 0.001)
+    report(1, start, [verify.check_stern_prefix(0, 0)], 0.001)
 
 
 def test_criterion_02_evaluator_agreement():
+    # the check's continuant route stops at its clamp, 2048; one sweep goes on to 5000
     start = time.perf_counter()
-    ok = all(
-        stern(n) == stern_via_christoffel(n) == stern_via_subwords(n)
-        for n in range(2**14 + 1)
-    )
-    ok = ok and all(stern(n) == stern_via_zeta(n) for n in range(2, 5001))
-    elapsed = time.perf_counter() - start
-    report(2, "four evaluators agree (3 ways to 2^14, continuant to 5000)", ok, elapsed, 30.0)
+    results = [
+        verify.check_stern_evaluators(0, 2**14),
+        verify._verdict(
+            "continuant-sweep", "continuant = recurrence on 2..5000",
+            (n for n, value in enumerate(zeta_sterns(5000), start=2) if stern(n) != value),
+        ),
+        facts("continuant-value", "stern_via_zeta at 5000",
+              at_5000=stern_via_zeta(5000) == stern(5000)),
+    ]
+    report(2, start, results, 30.0)
 
 
 def test_criterion_03_worked_example():
+    start = time.perf_counter()
     cw = christoffel_by_slope(4, 7)
-    ok = cw.word == "aabaabaabab"
-    ok = ok and psi("abaa") == "abaabaaba" == cw.word[1:-1]
-    ok = ok and period_pair("abaa") == (3, 8)
     w1, w2 = lyndon_factorization(cw)
-    ok = ok and (w1.word, w2.word) == ("aab", "aabaabab")
-    ok = ok and (4 * 3) % 11 == 1 and (7 * 8) % 11 == 1
-    ok = ok and (len(w1.word) * 4) % 11 == 1 and (len(w2.word) * 7) % 11 == 1
-    report(3, "slope 4/7 worked example end to end", ok)
+    example = facts(
+        "worked-example", "slope 4/7 end to end",
+        word=cw.word == "aabaabaabab",
+        psi=psi("abaa") == "abaabaaba" == cw.word[1:-1],
+        period_pair=period_pair("abaa") == (3, 8),
+        factors=(w1.word, w2.word) == ("aab", "aabaabab"),
+        inverses=(4 * 3) % 11 == 1 and (7 * 8) % 11 == 1,
+        factor_lengths=(len(w1.word) * 4) % 11 == 1 and (len(w2.word) * 7) % 11 == 1,
+    )
+    report(3, start, [example])
 
 
 def test_criterion_04_odd_even_correspondence():
     start = time.perf_counter()
-    ok = True
-    for w in words_up_to(12):
-        n = encode("b" + w + "b")
-        if stern(n) != sum(period_pair(w)):
-            ok = False
-            break
-        if stern(n + 1) != min_period_central(w + "b"):
-            ok = False
-            break
-    elapsed = time.perf_counter() - start
-    report(4, "s(<bwb>) is a length, s(<bwb>+1) a period, |w| <= 12", ok, elapsed, 20.0)
+    report(4, start, [verify.check_odd_even_correspondence(12, 0)], 20.0)
 
 
 def test_criterion_05_marked_occurrences():
     start = time.perf_counter()
-    ok = all(marked_occurrences(w)[0] == psi(w) + "ba" for w in words_up_to(10))
-    markers, rows = marked_occurrences("abbaa")
-    ok = ok and sum(1 for r in rows if r.marker == "a") == 10
-    ok = ok and sum(1 for r in rows if r.marker == "b") == 7
-    ok = ok and [r.reversed_key for r in rows[:3]] == [
-        (7, 6, 4, 2, 1), (7, 6, 4), (7, 6, 3, 2, 1)]
-    elapsed = time.perf_counter() - start
-    report(5, "sorted marked occurrences spell psi(w)ba, |w| <= 10", ok, elapsed, 60.0)
+    _, rows = marked_occurrences("abbaa")
+    spot = facts(
+        "abbaa-table", "marker counts and first keys",
+        a_markers=sum(1 for r in rows if r.marker == "a") == 10,
+        b_markers=sum(1 for r in rows if r.marker == "b") == 7,
+        first_keys=[r.reversed_key for r in rows[:3]] == [
+            (7, 6, 4, 2, 1), (7, 6, 4), (7, 6, 3, 2, 1)],
+    )
+    report(5, start, [verify.check_occurrence_markers(10, 0), spot], 60.0)
 
 
 def test_criterion_06_factor_decomposition():
-    ok = all(factor_decomposition(w).total == sum(period_pair(w)) for w in words_up_to(12))
+    start = time.perf_counter()
     d = factor_decomposition("ababa")
     parts = [d.base] + [c for _, c in d.single_a] + [
         weight * count for _, _, weight, count in d.multi_a]
-    ok = ok and parts == [4, 3, 6, 8] and sum(parts) == 21 == d.total
-    report(6, "weighted factor decomposition totals, |w| <= 12", ok)
+    spot = facts("ababa-parts", "4 + 3 + 6 + 8 = 21",
+                 parts=parts == [4, 3, 6, 8], total=sum(parts) == 21 == d.total)
+    report(6, start, [verify.check_factor_decomposition(12, 0), spot])
 
 
 def test_criterion_07_trees():
-    ok = True
-    for w in words_up_to(12):
-        if stern_brocot(w) != raney(reverse(w)):
-            ok = False
-            break
-        if raney(complement(w)) != raney(w).inverse:
-            ok = False
-            break
-        if mirror_formula(w) != (stern_brocot(w), raney(w)):
-            ok = False
-            break
-    ok = ok and all(
-        ra_of(n) == (stern(n - 1), stern(n)) for n in range(2, 2**12 + 1)
-    )
-    report(7, "tree duality, inversion, mirror formula, Stern quotients", ok)
+    start = time.perf_counter()
+    results = [
+        verify.check_tree_duality(12, 0),
+        verify.check_mirror_formula(12, 0),
+        verify.check_ra_numbering(0, 2**12),
+    ]
+    report(7, start, results)
 
 
 def test_criterion_08_continuant_length_period():
-    ok = True
-    for v in words_up_to(14):
-        pa, pb = period_pair(v)
-        if christoffel_length_cf(v) != (pa + pb, min_period_central(v)):
-            ok = False
-            break
-    report(8, "continuant length/period equals period-pair route, |v| <= 14", ok)
+    start = time.perf_counter()
+    report(8, start, [verify.check_continuant_length(14, 0)])
 
 
 def test_criterion_09_distribution_tables():
+    verify._order.cache_clear()
     start = time.perf_counter()
-    ok = True
-    for k in range(1, 15):
-        h = histogram(k)
-        s = summarize(k)
-        if h.mass != 2**k or h.weighted_mass != 2 * 3**k:
-            ok = False
-            break
-        if s.max_count != MAX_COUNTS[k]:
-            ok = False
-            break
-        if not set(LISTED_ARGMAX[k]) <= set(s.argmax):
-            ok = False
-            break
-        if s.missing_count != MISSING_COUNTS[k - 1]:
-            ok = False
-            break
-    elapsed = time.perf_counter() - start
-    report(9, "order statistics and published tables, k <= 14", ok, elapsed, 120.0)
+    report(9, start, [verify.check_histograms(14, 0), verify.check_tables(14, 0)], 120.0)
 
 
 def test_criterion_10_length_bounds():
-    ok = True
-    for k in range(3, 15):
-        r = bound_report(k)
-        if not r.passed:
-            ok = False
-            break
-        if summarize(k).missing_count < fib(k - 4) + k - 3:
-            ok = False
-            break
-    # spot-check the extremal classes at one order
-    ok = ok and {v for v in words_of_length(4) if sum(period_pair(v)) == 12} == word_class(
-        almost_alternating(4))
-    ok = ok and all(sum(period_pair(alternating(k))) == fib(k + 1) for k in range(3, 15))
-    report(10, "exhaustive length bounds with equality classes, 3 <= k <= 14", ok)
+    verify._order.cache_clear()
+    start = time.perf_counter()
+    spots = [
+        facts("ceiling-class", "the length-12 words of order 4",
+              class_of_4=word_class(almost_alternating(4))
+              == {v for v in words_of_length(4) if sum(period_pair(v)) == 12}),
+        verify._verdict(
+            "alternating-length", "|a psi(alternating(k)) b| = F(k+1), 3 <= k <= 14",
+            (k for k in range(3, 15) if sum(period_pair(alternating(k))) != fib(k + 1)),
+        ),
+    ]
+    report(10, start, [verify.check_bounds(14, 0), *spots])
 
 
 def test_criterion_11_identities():
-    ok = all(stern(n) == stern(reverse_bits(n)) for n in range(2**14 + 1))
-    ok = ok and all(
-        stern(2**k + p) == stern(2 ** (k + 1) - p)
-        for k in range(13)
-        for p in range(1, 2**k + 1)
-    )
-    ok = ok and all(
-        stern(n - 1) // stern(n) == ruler(n) for n in range(1, 2**12 + 1)
-    )
-    ok = ok and all(
-        Fraction(stern(n), stern(n + 1))
-        == 1 / (2 * ruler(n) + 1 - Fraction(stern(n - 1), stern(n)))
-        for n in range(1, 2**12 + 1)
-    )
-    for k in range(3, 14):
-        ok = ok and all(
-            stern(2**k + 8 * p + 1) < stern(2**k + 8 * p + 3)
-            and stern(2**k + 8 * p + 5) > stern(2**k + 8 * p + 7)
-            for p in range(2 ** (k - 3))
-        )
-    ok = ok and all(delta_expansion(n).total == stern(2 * n - 1) for n in range(2, 2**12 + 1))
-    ok = ok and all(
-        sum(counts_for_length(n).values()) == totient(n) for n in range(2, 301)
-    )
-    report(11, "Stern identity block and totient identity", ok)
+    # the check's bit reversal stops at its clamp, 4096; the range goes on to 2^14
+    start = time.perf_counter()
+    results = [
+        verify.check_stern_identities(13, 2**12),
+        verify.check_totient(14, 300),
+        verify._verdict(
+            "bit-reversal", "s(n) = s(rev n) on 4097..2^14",
+            (n for n in range(4097, 2**14 + 1) if stern(n) != stern(reverse_bits(n))),
+        ),
+    ]
+    report(11, start, results)
 
 
 def test_criterion_12_fibonacci_word():
-    target = psi("ab" * 6)
-    prefix = psi_prefix("", "ab", len(target))
-    ok = prefix == target and prefix.startswith("abaababaabaab")
-    report(12, "periodic directive prefix reproduces the Fibonacci word", ok)
+    start = time.perf_counter()
+    report(12, start, [verify.check_fibonacci_word(0, 0)])

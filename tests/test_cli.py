@@ -202,6 +202,17 @@ def test_budget_refusal_names_only_the_bound(capsys, argv, bound):
     assert str(bound) in err and len(err) < 200
 
 
+def test_occ_text_limit_refuses_before_enumerating(capsys, monkeypatch):
+    # 560,597 rows: past the text limit, within the occurrence cap
+    calls = []
+    monkeypatch.setattr(cli, "marked_occurrences", calls.append)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "occ", "ababababababababababababaaa")
+    assert time.perf_counter() - start < 0.1
+    assert (code, out, calls) == (4, "", [])
+    assert err == "560597 rows exceed the text limit of 100000; use --format json or csv\n"
+
+
 def test_dist_text(capsys):
     code, out, _ = run_cli(capsys, "dist", "3")
     assert code == 0

@@ -24,14 +24,8 @@ from diatomic.distribution import (
 )
 from diatomic.palindromes import period_pair
 from diatomic.stern import stern
+from diatomic.verify import MAX_COUNT_TABLE, MISSING_COUNT_TABLE
 from diatomic.words import BudgetError, complement, encode
-
-MAX_COUNTS = {1: 2, 2: 2, 3: 4, 4: 4, 5: 4, 6: 8, 7: 12, 8: 12, 9: 16,
-              10: 24, 11: 28, 12: 36, 13: 48, 14: 64}
-LISTED_ARGMAX = {1: [3], 2: [4, 5], 3: [7], 4: [9, 11], 5: [11, 13, 14, 17, 18, 19],
-                 6: [23], 7: [41], 8: [43], 9: [71, 73, 83], 10: [113], 11: [227],
-                 12: [199, 283], 13: [449], 14: [433]}
-MISSING_COUNTS = [0, 0, 1, 2, 5, 11, 18, 29, 51, 74, 119, 195, 323, 498]
 
 
 def stern_row(k):
@@ -157,9 +151,10 @@ def test_support_bounds_and_gaps():
 def test_summary_table_pins():
     for k in range(1, 15):
         s = summarize(k)
-        assert s.max_count == MAX_COUNTS[k]
-        assert set(LISTED_ARGMAX[k]) <= set(s.argmax)
-        assert s.missing_count == MISSING_COUNTS[k - 1]
+        max_count, listed = MAX_COUNT_TABLE[k]
+        assert s.max_count == max_count
+        assert set(listed) <= set(s.argmax)
+        assert s.missing_count == MISSING_COUNT_TABLE[k - 1]
     assert summarize(5).argmax == [11, 13, 14, 17, 18, 19]
     assert summarize(3).missing == [6]
 

@@ -96,6 +96,60 @@ def test_failures_name_their_first_case(monkeypatch, fresh_orders):
     assert not result.ok and result.detail.endswith("; first failure: ('quotient', 2)")
 
 
+SWAP_LETTERS = str.maketrans("ab", "ba")
+
+#: For each check: its bounds, the route planted wrong, the one argument
+#: it is wrong at, how it is wrong there, and the case the FAIL names.
+PLANTED = {
+    "stern-prefix-values": (verify.check_stern_prefix, (0, 0), "stern", 20, lambda s: s + 1, "20"),
+    "odd-length-even-period": (
+        verify.check_odd_even_correspondence, (6, 0), "period_pair", "ab",
+        lambda pair: (pair[0] + 1, pair[1]), "'ab'"),
+    "occurrence-markers": (
+        verify.check_occurrence_markers, (6, 0), "marked_occurrences", "abb",
+        lambda table: (table[0].translate(SWAP_LETTERS), table[1]), "'abb'"),
+    "weighted-factor-decomposition": (
+        verify.check_factor_decomposition, (6, 64), "factor_decomposition", "bab",
+        lambda d: replace(d, base=d.base + 1), "('factors', 'bab')"),
+    "tree-duality": (
+        verify.check_tree_duality, (6, 0), "stern_brocot", "ab",
+        lambda label: label.inverse, "'ab'"),
+    "mirror-formula": (
+        verify.check_mirror_formula, (6, 0), "mirror_formula", "ab",
+        lambda labels: (labels[0].inverse, labels[1]), "'ab'"),
+    "tree-numbering-stern": (
+        verify.check_ra_numbering, (0, 64), "ra_of", 37, lambda label: label.inverse, "37"),
+    "continuant-length-period": (
+        verify.check_continuant_length, (6, 0), "christoffel_length_cf", "abb",
+        lambda pair: (pair[0] + 1, pair[1]), "'abb'"),
+    # one word of order 5 counted twice: the mass is 2^5 + 1
+    "histogram-invariants": (
+        verify.check_histograms, (8, 0), "histogram", 5,
+        lambda h: replace(h, counts={**h.counts, 99: 1}), "5"),
+    # the count at the published argmax of order 7, 41, one too high
+    "published-table-pins": (
+        verify.check_tables, (8, 0), "histogram", 7,
+        lambda h: replace(h, counts={**h.counts, 41: h.counts[41] + 1}), "7"),
+}
+
+
+@pytest.mark.parametrize("check, bounds, route, at, wrong, first", PLANTED.values(), ids=PLANTED)
+def test_a_planted_fault_names_its_case(
+    monkeypatch, fresh_orders, check, bounds, route, at, wrong, first
+):
+    assert check(*bounds).ok
+    original = getattr(verify, route)
+
+    def planted(x, *rest):  # wrong at the argument ``at`` alone
+        value = original(x, *rest)
+        return wrong(value) if x == at else value
+
+    monkeypatch.setattr(verify, route, planted)
+    verify._order.cache_clear()  # the clean run above filled it
+    result = check(*bounds)
+    assert not result.ok and result.detail.endswith(f"; first failure: {first}")
+
+
 def test_totient_identity(fresh_orders):
     result = verify.check_totient(16, 300)
     assert result == verify.CheckResult(
