@@ -16,7 +16,6 @@ from diatomic import (
     histogram,
     max_count_lower_bound,
     period_pair,
-    summarize,
     totient,
     word_class,
 )
@@ -29,8 +28,7 @@ print("histogram:")
 for n, c in h.counts.items():
     print(f"  {n:3} {'#' * c}")
 
-s = summarize(k)
-print(f"max count {s.max_count} at {s.argmax}; missing lengths {s.missing}")
+print(f"max count {h.max_count} at {h.argmax}; missing lengths {h.missing}")
 print()
 
 print(f"alternating({k})        = {alternating(k)}  length {sum(period_pair(alternating(k)))} = F({k+1}) = {fib(k+1)}")
@@ -44,7 +42,7 @@ print()
 print("summary table for small orders:")
 print("  k  max  at")
 for j in range(1, 11):
-    row = summarize(j)
+    row = histogram(j)
     print(f"  {j:2}  {row.max_count:3}  {','.join(map(str, row.argmax))}")
 print()
 

@@ -26,15 +26,12 @@ from .continuants import cf_terms, cf_value, christoffel_length_cf, continuant, 
 from .distribution import (
     BoundReport,
     LengthHistogram,
-    OrderSummary,
     almost_alternating,
     alternating,
     bound_report,
     counts_for_length,
     histogram,
     max_count_lower_bound,
-    summarize,
-    summarize_histogram,
     totient,
     word_class,
 )

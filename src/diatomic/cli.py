@@ -38,7 +38,7 @@ from .christoffel import (
     christoffel_by_slope,
     lyndon_factorization,
 )
-from .distribution import histogram, summarize_histogram
+from .distribution import histogram
 from .fracs import split_frac
 from .palindromes import pal_closure, period_pair, psi, psi_inverse
 from .stern import (
@@ -166,18 +166,22 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+#: The commands that print a table, each with its csv header; ``main``
+#: refuses csv for any other command before its handler runs.
+_CSV_HEADERS = {
+    "occ": ("marker", "key", "occurrence"),
+    "dist": ("k", "n", "count"),
+    "verify": ("name", "ok", "detail"),
+}
+
+
 def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict,
-          csv_rows: Iterable[Sequence] | None = None,
-          csv_header: list[str] | None = None) -> int:
+          csv_rows: Iterable[Sequence] = ()) -> int:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     elif args.format == "csv":
-        if csv_rows is None:
-            print(f"csv output is not available for '{args.command}'", file=sys.stderr)
-            return EXIT_PARSE
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        if csv_header:
-            writer.writerow(csv_header)
+        writer.writerow(_CSV_HEADERS[args.command])
         writer.writerows(csv_rows)
     elif text_lines:
         print("\n".join(text_lines))
@@ -287,26 +291,25 @@ def _cmd_occ(args: argparse.Namespace) -> int:
         )
         return EXIT_BUDGET
     markers, rows = marked_occurrences(w)
-    lines = ["marker  key  occurrence"]
-    lines += [
-        f"{m.marker}  {','.join(map(str, m.reversed_key))}"
-        f"  {','.join(map(str, m.occurrence))}"
+    if args.format == "json":
+        payload = {
+            "word": w,
+            "markers": markers,
+            "occurrences": [
+                {"marker": m.marker, "key": list(m.reversed_key), "positions": list(m.occurrence)}
+                for m in rows
+            ],
+        }
+        return _emit(args, [], payload)
+    cells = (
+        (m.marker, ",".join(map(str, m.reversed_key)), ",".join(map(str, m.occurrence)))
         for m in rows
-    ]
+    )
+    if args.format == "csv":
+        return _emit(args, [], {}, cells)
+    lines = ["  ".join(row) for row in (_CSV_HEADERS["occ"], *cells)]
     lines.append(f"word: {_render_word(markers, args.alphabet)}")
-    payload = {
-        "word": w,
-        "markers": markers,
-        "occurrences": [
-            {"marker": m.marker, "key": list(m.reversed_key), "positions": list(m.occurrence)}
-            for m in rows
-        ],
-    }
-    csv_rows = [
-        [m.marker, ",".join(map(str, m.reversed_key)), ",".join(map(str, m.occurrence))]
-        for m in rows
-    ]
-    return _emit(args, lines, payload, csv_rows, ["marker", "key", "occurrence"])
+    return _emit(args, lines, {})
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
@@ -335,30 +338,27 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
-    # histogram counts come sorted by length; each format builds only
-    # what it prints, and csv needs no summary
+    # counts come sorted by length; each format reads only the figures it prints
     h = histogram(args.k)
     if args.format == "csv":
-        rows = zip(repeat(h.order), h.counts, h.counts.values())
-        return _emit(args, [], {}, rows, ["k", "n", "count"])
-    s = summarize_histogram(h)
+        return _emit(args, [], {}, zip(repeat(h.order), h.counts, h.counts.values()))
     if args.format == "json":
         payload = {
-            "k": s.order,
-            "M_k": s.max_count,
-            "argmax": s.argmax,
-            "missing": s.missing,
-            "missing_count": s.missing_count,
+            "k": h.order,
+            "M_k": h.max_count,
+            "argmax": h.argmax,
+            "missing": h.missing,
+            "missing_count": len(h.missing),
         }
         return _emit(args, [], payload)
     lines = [
-        f"k: {s.order}",
+        f"k: {h.order}",
         f"words: {h.mass}",
         f"total length: {h.weighted_mass}",
-        f"max count: {s.max_count}",
-        f"argmax: {' '.join(map(str, s.argmax))}",
-        f"missing: {' '.join(map(str, s.missing)) or '-'}",
-        f"missing count: {s.missing_count}",
+        f"max count: {h.max_count}",
+        f"argmax: {' '.join(map(str, h.argmax))}",
+        f"missing: {' '.join(map(str, h.missing)) or '-'}",
+        f"missing count: {len(h.missing)}",
         "histogram:",
     ]
     lines += [f"  {n} {c}" for n, c in h.counts.items()]
@@ -378,7 +378,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "total": len(results),
     }
     csv_rows = [[res.name, str(res.ok).lower(), res.detail] for res in results]
-    _emit(args, lines, payload, csv_rows, ["name", "ok", "detail"])
+    _emit(args, lines, payload, csv_rows)
     return EXIT_OK if passed == len(results) else EXIT_DISAGREE
 
 
@@ -420,6 +420,9 @@ def _attach_fraction_values(argv: Sequence[str]) -> list[str]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(_attach_fraction_values(sys.argv[1:] if argv is None else argv))
+    if args.format == "csv" and args.command not in _CSV_HEADERS:
+        print(f"csv output is not available for '{args.command}'", file=sys.stderr)
+        return EXIT_PARSE
     try:
         return _HANDLERS[args.command](args)
     except _ParseFailure as exc:

@@ -42,8 +42,13 @@ step each.  Every lane holds the length of an order-k word, at most
 F(k+1), so no lane carries while F(k+1) fits one; orders past that lane
 bound are refused.  The lengths reach ``Counter.update`` in batches.
 
+A ``LengthHistogram`` is the one record of an order: its counts C_k(n),
+their mass, and the order statistics read from them, the maximal
+multiplicity M_k (``max_count``), the lengths that reach it (``argmax``)
+and the lengths in [k + 2, F(k+1)] that no word has (``missing``).
+
 ``bound_report`` enumerates nothing of its own: each of its predicates
-reads the histogram's counts and the lengths of at most 12 fixed words.
+reads the histogram's figures and the lengths of at most 12 fixed words.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from array import array
 from collections import Counter
 from dataclasses import astuple, dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from math import gcd
 from operator import add
@@ -80,7 +86,9 @@ _LANE_ORDER = next(k for k in count() if fib(k + 2) >> (8 * _LANE))
 
 @dataclass(frozen=True)
 class LengthHistogram:
-    """Counts C_k(n) of order-``order`` Christoffel words of length n."""
+    """Counts C_k(n) of order-``order`` Christoffel words of length n, and
+    the figures read from them, each computed on its first read.
+    """
 
     order: int
     counts: dict[int, int]
@@ -99,18 +107,25 @@ class LengthHistogram:
     def average_length(self) -> Fraction:
         return Fraction(self.weighted_mass, self.mass)
 
-    @property
+    @cached_property
     def support(self) -> list[int]:
         return sorted(self.counts)
 
+    @cached_property
+    def max_count(self) -> int:
+        """M_k, the largest count C_k(n)."""
+        return max(self.counts.values())
 
-@dataclass(frozen=True)
-class OrderSummary:
-    order: int
-    max_count: int
-    argmax: list[int]
-    missing: list[int]
-    missing_count: int
+    @cached_property
+    def argmax(self) -> list[int]:
+        """The lengths n with C_k(n) = M_k, sorted."""
+        top = self.max_count
+        return [n for n in self.support if self.counts[n] == top]
+
+    @cached_property
+    def missing(self) -> list[int]:
+        """The lengths in [k + 2, F(k+1)] that no order-k word has."""
+        return [n for n in range(self.order + 2, fib(self.order + 1) + 1) if n not in self.counts]
 
 
 def _check_order(k: int) -> None:
@@ -197,24 +212,6 @@ def histogram(k: int) -> LengthHistogram:
     for length in ends:
         lengths[length] -= 2
     return LengthHistogram(k, lengths)
-
-
-def summarize_histogram(h: LengthHistogram) -> OrderSummary:
-    """Maximal multiplicity, its length arguments, and the missing lengths
-    of an already computed histogram.
-    """
-    top = max(h.counts.values())
-    argmax = sorted(n for n, c in h.counts.items() if c == top)
-    lo, hi = h.order + 2, fib(h.order + 1)
-    missing = [n for n in range(lo, hi + 1) if n not in h.counts]
-    return OrderSummary(h.order, top, argmax, missing, len(missing))
-
-
-def summarize(k: int) -> OrderSummary:
-    """Maximal multiplicity, its length arguments, and the missing lengths
-    of order k.
-    """
-    return summarize_histogram(histogram(k))
 
 
 def alternating(k: int, first: str = "a") -> str:
@@ -335,27 +332,23 @@ def bound_report_histogram(h: LengthHistogram) -> BoundReport:
     def exactly(n: int, words: set[str]) -> bool:
         return counts.get(n, 0) == len(words) and all(length[v] == n for v in words)
 
-    support = counts.keys()
-    missing = top - lo + 1 - sum(1 for n in support if lo <= n <= top)
     return BoundReport(
         k,
-        min(support) >= lo and exactly(lo, constants),
+        h.support[0] >= lo and exactly(lo, constants),
         sum(c for n, c in counts.items() if n < floor)
         == sum(1 for v in constants if length[v] < floor),
         exactly(floor, floor_class),
-        max(support) <= top and exactly(top, alternating_pair),
+        h.support[-1] <= top and exactly(top, alternating_pair),
         sum(c for n, c in counts.items() if n > ceiling)
         == sum(1 for v in alternating_pair if length[v] > ceiling),
         exactly(ceiling, ceiling_class),
-        {3 * k - 2, 3 * k - 1, 5 * k - 8, 5 * k - 7} <= support,
-        missing >= fib(k - 4) + k - 3,
+        {3 * k - 2, 3 * k - 1, 5 * k - 8, 5 * k - 7} <= counts.keys(),
+        len(h.missing) >= fib(k - 4) + k - 3,
     )
 
 
 def bound_report(k: int) -> BoundReport:
     """Check every length bound and equality class over all of order k >= 3."""
-    if k < 3:
-        raise ValueError("bound checks need order k >= 3")
     return bound_report_histogram(histogram(k))
 
 

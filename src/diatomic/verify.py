@@ -39,7 +39,6 @@ from .distribution import (
     counts_for_length,
     histogram,
     max_count_lower_bound,
-    summarize_histogram,
     totient,
 )
 from .palindromes import min_period_central, mu, period_pair, psi, psi_inverse, psi_prefix
@@ -248,7 +247,11 @@ def check_factor_decomposition(k: int, limit: int):
         ),
         (("stern", n) for n in range(limit + 1) if not stern_factor_identity(n)),
     )
-    return f"totals equal lengths for |w| <= {k}", failures
+    detail = (
+        f"totals equal lengths for |w| <= {k},"
+        f" factor-occurrence form of s(n) for n <= {limit}"
+    )
+    return detail, failures
 
 
 @_check("tree-duality", k=12)
@@ -309,7 +312,11 @@ def check_stern_identities(top: int, limit: int):
             or not stern(2**k + 8 * p + 5) > stern(2**k + 8 * p + 7)
         ),
     )
-    return f"bit reversal, symmetry, quotient steps for n <= {limit}", failures
+    detail = (
+        f"bit reversal, symmetry, quotient steps for n <= {limit},"
+        f" symmetry k <= {min(top, 12)}, zigzag 3 <= k <= {top}"
+    )
+    return detail, failures
 
 
 @_check("integral-continuant-stern", k=12)
@@ -340,11 +347,9 @@ class _OrderFigures(NamedTuple):
 @cache
 def _order(k: int) -> _OrderFigures:
     h = histogram(k)
-    s = summarize_histogram(h)
-    support = h.support
     return _OrderFigures(
-        h.mass, h.weighted_mass, support[0], support[-1],
-        s.max_count, frozenset(s.argmax), s.missing_count,
+        h.mass, h.weighted_mass, h.support[0], h.support[-1],
+        h.max_count, frozenset(h.argmax), len(h.missing),
         k < 3 or bound_report_histogram(h).passed,
         {n: c for n, c in h.counts.items() if n <= _SHORT_LENGTHS},
     )

@@ -149,6 +149,15 @@ def test_occ_table(capsys):
     assert len(lines) == 2 + 17
 
 
+def test_occ_csv(capsys):
+    code, out, _ = run_cli(capsys, "--format", "csv", "occ", "abbaa")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "marker,key,occurrence"
+    assert lines[1] == 'a,"7,6,4,2,1","1,2,4,6,7"'
+    assert len(lines) == 1 + 17
+
+
 def test_tree_path(capsys):
     code, out, _ = run_cli(capsys, "tree", "abba")
     assert code == 0
@@ -261,6 +270,22 @@ def test_dist_has_no_budget_flag(capsys):
 def test_csv_unavailable(capsys):
     code, _, err = run_cli(capsys, "--format", "csv", "psi", "ab")
     assert code == 2 and "csv" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["psi", "ab" * 22],
+    ["closure", "abaa"],
+    ["directive", "ab"],
+    ["christoffel", "--slope", "4/7"],
+    ["stern", "4194304", "--method", "all"],
+    ["tree", "--fraction", "1/15000"],
+], ids=lambda argv: argv[0])
+def test_csv_is_refused_before_the_handler_runs(capsys, monkeypatch, argv):
+    calls = []
+    monkeypatch.setitem(cli._HANDLERS, argv[0], lambda args: calls.append(args) or 0)
+    code, out, err = run_cli(capsys, "--format", "csv", *argv)
+    assert (code, out, calls) == (2, "", [])
+    assert err == f"csv output is not available for '{argv[0]}'\n"
 
 
 def test_json_roundtrips(capsys):

@@ -18,7 +18,6 @@ from diatomic.distribution import (
     counts_for_length,
     histogram,
     max_count_lower_bound,
-    summarize,
     totient,
     word_class,
 )
@@ -150,13 +149,13 @@ def test_support_bounds_and_gaps():
 
 def test_summary_table_pins():
     for k in range(1, 15):
-        s = summarize(k)
+        h = histogram(k)
         max_count, listed = MAX_COUNT_TABLE[k]
-        assert s.max_count == max_count
-        assert set(listed) <= set(s.argmax)
-        assert s.missing_count == MISSING_COUNT_TABLE[k - 1]
-    assert summarize(5).argmax == [11, 13, 14, 17, 18, 19]
-    assert summarize(3).missing == [6]
+        assert h.max_count == max_count
+        assert set(listed) <= set(h.argmax)
+        assert len(h.missing) == MISSING_COUNT_TABLE[k - 1]
+    assert histogram(5).argmax == [11, 13, 14, 17, 18, 19]
+    assert histogram(3).missing == [6]
 
 
 def test_alternating():
@@ -357,13 +356,13 @@ def test_max_count_lower_bound():
     for k in range(1, 15):
         bound = max_count_lower_bound(k)
         assert isinstance(bound, Fraction)
-        assert summarize(k).max_count >= bound
+        assert histogram(k).max_count >= bound
     with pytest.raises(ValueError):
         max_count_lower_bound(0)
 
 
 def test_max_count_monotonicity_observed():
-    values = [summarize(k).max_count for k in range(1, 15)]
+    values = [histogram(k).max_count for k in range(1, 15)]
     assert values == sorted(values)
     for i in range(2, len(values)):
         assert values[i] <= values[i - 1] + values[i - 2]
@@ -371,4 +370,4 @@ def test_max_count_monotonicity_observed():
 
 def test_missing_count_lower_bound():
     for k in range(3, 15):
-        assert summarize(k).missing_count >= fib(k - 4) + k - 3
+        assert len(histogram(k).missing) >= fib(k - 4) + k - 3

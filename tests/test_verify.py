@@ -184,6 +184,18 @@ def test_stern_evaluators_clamp_max_n():
     assert result.ok and "on 0..65536," in result.detail
 
 
+def test_details_name_every_range_they_run():
+    assert verify.check_factor_decomposition(12, 512) == verify.CheckResult(
+        "weighted-factor-decomposition", True,
+        "totals equal lengths for |w| <= 12, factor-occurrence form of s(n) for n <= 512",
+    )
+    assert verify.check_stern_identities(13, 4096) == verify.CheckResult(
+        "stern-identities", True,
+        "bit reversal, symmetry, quotient steps for n <= 4096,"
+        " symmetry k <= 12, zigzag 3 <= k <= 13",
+    )
+
+
 @pytest.mark.parametrize("error", [ValueError("boom"), KeyError("boom")])
 def test_a_raising_check_fails_alone(monkeypatch, capsys, error):
     def raising(v):
