@@ -44,9 +44,8 @@ print()
 w = "abbaa"
 markers, rows = marked_occurrences(w)
 print(f"occurrences of b(ab)* subwords in b{w}b, sorted by reversed key:")
-for m in rows:
-    key = "".join(map(str, m.reversed_key))
-    print(f"  {m.marker}  {key}")
+for marker, key in zip(markers, rows):
+    print(f"  {marker}  {''.join(map(str, key))}  (positions {''.join(map(str, key[::-1]))})")
 print(f"markers read downward: {markers}")
 print(f"psi({w}) + 'ba'      : {psi(w) + 'ba'}")
 print()

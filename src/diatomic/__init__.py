@@ -48,7 +48,6 @@ from .palindromes import (
 from .stern import (
     DeltaExpansion,
     FactorDecomposition,
-    MarkedOccurrence,
     delta_expansion,
     factor_decomposition,
     initial_subword_count,

@@ -17,7 +17,6 @@ from .fracs import Frac
 from . import palindromes
 from .palindromes import framed_psi, period_pair, psi_inverse
 from .trees import stern_brocot
-from .words import BudgetError
 
 
 @dataclass(frozen=True)
@@ -85,9 +84,7 @@ def christoffel_by_slope(p: int, q: int) -> ChristoffelWord:
     if p == 0:
         return ChristoffelWord("a", Frac(0, 1), None)
     n = p + q
-    budget = palindromes.PSI_LENGTH_BUDGET
-    if n - 2 > budget:
-        raise BudgetError(f"slope's central word exceeds the budget of {budget} letters")
+    palindromes._check_budget(n - 2)
     slope = Frac(p, q)
     word = bytearray(n)
     word[0], word[-1] = ord("a"), ord("b")

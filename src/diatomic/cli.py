@@ -296,19 +296,21 @@ def _cmd_occ(args: argparse.Namespace) -> int:
             "word": w,
             "markers": markers,
             "occurrences": [
-                {"marker": m.marker, "key": list(m.reversed_key), "positions": list(m.occurrence)}
-                for m in rows
+                {"marker": m, "key": key, "positions": key[::-1]}
+                for m, key in zip(markers, rows)
             ],
         }
         return _emit(args, [], payload)
+    # text and csv spell the markers in the chosen alphabet, column and word alike
+    shown = _render_word(markers, args.alphabet)
     cells = (
-        (m.marker, ",".join(map(str, m.reversed_key)), ",".join(map(str, m.occurrence)))
-        for m in rows
+        (m, ",".join(map(str, key)), ",".join(map(str, key[::-1])))
+        for m, key in zip(shown, rows)
     )
     if args.format == "csv":
         return _emit(args, [], {}, cells)
     lines = ["  ".join(row) for row in (_CSV_HEADERS["occ"], *cells)]
-    lines.append(f"word: {_render_word(markers, args.alphabet)}")
+    lines.append(f"word: {shown}")
     return _emit(args, lines, {})
 
 

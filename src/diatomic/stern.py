@@ -272,39 +272,34 @@ def stern_factor_identity(n: int) -> bool:
     return total == stern(n)
 
 
-class MarkedOccurrence(NamedTuple):
-    """One b(ab)* subword occurrence in a host word, with its sort key."""
-
-    occurrence: tuple[int, ...]
-    reversed_key: tuple[int, ...]
-    marker: str  # a when the occurrence starts at position 1, b otherwise
-
-    @property
-    def initial(self) -> bool:
-        return self.occurrence[0] == 1
-
-
 #: Ceiling on the number of marked occurrences enumerated at once.
 MARKED_OCCURRENCE_CAP = 10**6
 
 
-def marked_occurrences(w: str) -> tuple[str, list[MarkedOccurrence]]:
+def marked_occurrences(w: str) -> tuple[str, list[tuple[int, ...]]]:
     """All occurrences of b(ab)* subwords in b w b, sorted by decreasing
-    reversed position tuple and marked a (initial) or b (non-initial).
+    reversed position tuple and marked a (initial) or b (non-initial),
+    as ``(markers, rows)``.
 
-    Read top to bottom, the markers spell psi(w) b a: the occurrence
-    table is a standard word in disguise.  The number of rows equals the
-    Christoffel length of w, which is checked against
-    ``MARKED_OCCURRENCE_CAP`` before enumerating.  Reversed keys compare
-    as tuples, a proper prefix ranking below its extensions, so the table
-    is built sorted with nothing to sort.  The keys that start at the b
-    in position j, in decreasing order, are: for each a at i < j and
-    then each b at k < i, largest first, (j, i) followed by each key
-    that starts at k, in its order; then (j,) itself.  The b positions
-    are taken in increasing order, so every list they read is already
-    built, and the rows are these lists for j in decreasing order.
-    Every extension read yields a row, so no work is spent on letters
-    that start nothing (a long run of a, say).
+    Each row is the reversed key itself: the occurrence is ``key[::-1]``
+    and its marker, ``markers[i]`` for row i, is a exactly when the key
+    ends in position 1.  Read top to bottom, the markers spell psi(w) b a:
+    the occurrence table is a standard word in disguise.
+
+    >>> marked_occurrences("")
+    ('ba', [(2,), (1,)])
+
+    The number of rows equals the Christoffel length of w, which is
+    checked against ``MARKED_OCCURRENCE_CAP`` before enumerating.
+    Reversed keys compare as tuples, a proper prefix ranking below its
+    extensions, so the table is built sorted with nothing to sort.  The
+    keys that start at the b in position j, in decreasing order, are:
+    for each a at i < j and then each b at k < i, largest first, (j, i)
+    followed by each key that starts at k, in its order; then (j,)
+    itself.  The b positions are taken in increasing order, so every
+    list they read is already built, and the rows are these lists for j
+    in decreasing order.  Every extension read yields a row, so no work
+    is spent on letters that start nothing (a long run of a, say).
     """
     predicted = sum(period_pair(w))
     if predicted > MARKED_OCCURRENCE_CAP:
@@ -320,12 +315,8 @@ def marked_occurrences(w: str) -> tuple[str, list[MarkedOccurrence]]:
                 starting += map((j, i).__add__, keys[k])
         starting.append((j,))
         keys[j] = starting
-    rows = [
-        MarkedOccurrence(key[::-1], key, "a" if key[-1] == 1 else "b")
-        for j in reversed(b_at)
-        for key in keys[j]
-    ]
-    return "".join(m.marker for m in rows), rows
+    rows = [key for j in reversed(b_at) for key in keys[j]]
+    return "".join(["a" if key[-1] == 1 else "b" for key in rows]), rows
 
 
 def initial_subword_count(v: str) -> int:

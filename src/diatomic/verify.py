@@ -176,12 +176,10 @@ def check_odd_even_correspondence(k: int, _n: int):
 @_check("palindromization-composition", k=10)
 def check_palindromization_composition(bound: int, _n: int):
     image = {w: psi(w) for w in _words_up_to(bound)}
+    # every (v, u) with |vu| <= bound, split off the words of _words_up_to
     failures = (
-        (v, u) for m in range(bound + 1)
-        for split in range(m + 1)
-        for v in ("".join(t) for t in itertools.product("ab", repeat=split))
-        for u in ("".join(t) for t in itertools.product("ab", repeat=m - split))
-        if image[v + u] != mu(v, image[u]) + image[v]
+        (w[:i], w[i:]) for w in image for i in range(len(w) + 1)
+        if image[w] != mu(w[:i], image[w[i:]]) + image[w[:i]]
     )
     return f"psi(vu) = mu_v(psi(u)) psi(v), |vu| <= {bound}", failures
 

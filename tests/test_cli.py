@@ -158,6 +158,19 @@ def test_occ_csv(capsys):
     assert len(lines) == 1 + 17
 
 
+def test_occ_markers_follow_the_alphabet(capsys):
+    # text and csv spell the marker column like the word: line; json keeps a/b
+    _, text, _ = run_cli(capsys, "--alphabet", "01", "occ", "01")
+    assert [line.split("  ")[0] for line in text.splitlines()[1:-1]] == list("01010")
+    assert text.splitlines()[-1] == "word: 01010"
+    _, csv_out, _ = run_cli(capsys, "--alphabet", "01", "--format", "csv", "occ", "01")
+    assert [line.split(",")[0] for line in csv_out.splitlines()[1:]] == list("01010")
+    _, json_out, _ = run_cli(capsys, "--alphabet", "01", "--format", "json", "occ", "01")
+    payload = json.loads(json_out)
+    assert payload["markers"] == "ababa"
+    assert [row["marker"] for row in payload["occurrences"]] == list("ababa")
+
+
 def test_tree_path(capsys):
     code, out, _ = run_cli(capsys, "tree", "abba")
     assert code == 0

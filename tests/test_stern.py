@@ -230,29 +230,28 @@ def test_factor_identity_on_integers():
 def test_marked_occurrences_smallest():
     markers, rows = marked_occurrences("")
     assert markers == "ba"
-    assert [r.occurrence for r in rows] == [(2,), (1,)]
-    assert [r.marker for r in rows] == ["b", "a"]
+    assert [key[::-1] for key in rows] == [(2,), (1,)]
+    assert list(markers) == ["b", "a"]
 
 
 def test_marked_occurrences_constant_a():
     for n in range(1, 6):
         markers, rows = marked_occurrences("a" * n)
         assert markers == "a" * n + "ba"
-        assert rows[0].reversed_key == (n + 2, n + 1, 1)
-        assert rows[-1].reversed_key == (1,)
-        assert rows[-2].reversed_key == (n + 2,)
+        assert rows[0] == (n + 2, n + 1, 1)
+        assert rows[-1] == (1,)
+        assert rows[-2] == (n + 2,)
 
 
 def test_marked_occurrences_example():
     markers, rows = marked_occurrences("abbaa")
     assert markers == psi("abbaa") + "ba"
-    keys = [r.reversed_key for r in rows]
-    assert keys[:3] == [(7, 6, 4, 2, 1), (7, 6, 4), (7, 6, 3, 2, 1)]
-    assert sum(1 for r in rows if r.marker == "a") == 10
-    assert sum(1 for r in rows if r.marker == "b") == 7
-    initial = {r.occurrence for r in rows if r.initial}
+    assert rows[:3] == [(7, 6, 4, 2, 1), (7, 6, 4), (7, 6, 3, 2, 1)]
+    assert markers.count("a") == 10
+    assert markers.count("b") == 7
+    initial = {key[::-1] for m, key in zip(markers, rows) if m == "a"}
     assert (1, 2, 3, 5, 7) in initial and (1, 6, 7) in initial
-    non_initial = {r.occurrence for r in rows if not r.initial}
+    non_initial = {key[::-1] for m, key in zip(markers, rows) if m == "b"}
     assert non_initial == {(3,), (3, 5, 7), (3, 6, 7), (4,), (4, 5, 7), (4, 6, 7), (7,)}
 
 
@@ -261,8 +260,7 @@ def test_marked_occurrences_all_words():
         markers, rows = marked_occurrences(w)
         assert markers == psi(w) + "ba"
         assert len(rows) == stern_via_subwords(encode("b" + w + "b"))
-        keys = [r.reversed_key for r in rows]
-        assert keys == sorted(keys, reverse=True)
+        assert rows == sorted(rows, reverse=True)
 
 
 def collect_then_sort_occurrences(w):
@@ -290,8 +288,9 @@ def collect_then_sort_occurrences(w):
 
 def test_marked_occurrences_match_collect_then_sort():
     for w in [*words_up_to(10), "ab" * 13]:
-        rows = marked_occurrences(w)[1]
-        assert [tuple(r) for r in rows] == collect_then_sort_occurrences(w)
+        markers, rows = marked_occurrences(w)
+        triples = [(key[::-1], key, m) for m, key in zip(markers, rows, strict=True)]
+        assert triples == collect_then_sort_occurrences(w)
 
 
 def test_marked_occurrences_cap(monkeypatch):
