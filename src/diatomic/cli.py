@@ -292,15 +292,15 @@ def _cmd_occ(args: argparse.Namespace) -> int:
         return EXIT_BUDGET
     markers, rows = marked_occurrences(w)
     if args.format == "json":
-        payload = {
-            "word": w,
-            "markers": markers,
-            "occurrences": [
-                {"marker": m, "key": key, "positions": key[::-1]}
-                for m, key in zip(markers, rows)
-            ],
-        }
-        return _emit(args, [], payload)
+        # each row is written as it is made, in the bytes of
+        # json.dumps(payload, sort_keys=True), so no row is held as a dict
+        write = sys.stdout.write
+        write(f'{{"markers": {json.dumps(markers)}, "occurrences": [')
+        for i, (m, key) in enumerate(zip(markers, rows)):
+            write(f'{", " if i else ""}{{"key": {list(key)}, "marker": "{m}",'
+                  f' "positions": {list(key[::-1])}}}')
+        write(f'], "word": {json.dumps(w)}}}\n')
+        return EXIT_OK
     # text and csv spell the markers in the chosen alphabet, column and word alike
     shown = _render_word(markers, args.alphabet)
     cells = (

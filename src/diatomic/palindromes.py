@@ -7,6 +7,13 @@ prefix.  Its images are exactly the central words: the palindromic
 prefixes of characteristic Sturmian words, or equivalently the words
 with two coprime periods p, q and length p + q - 2.
 
+The closure itself finds the longest palindromic suffix with string
+search: a palindromic suffix of w starts where w and reverse(w) agree
+for the rest of w, so its candidate starts are the occurrences in w of
+a short prefix of reverse(w), found and confirmed in C.  Words where
+too many candidates fail, periodic ones, fall back on the
+Knuth-Morris-Pratt loop, which keeps the worst case linear.
+
 Images are built on bytes: one loop writes an image into a ``bytearray``
 allocated at its final length, copying the current minimal period within
 it, and serves psi, psi_prefix and framed_psi (the Christoffel word
@@ -27,21 +34,60 @@ from .words import BudgetError, _borders, check_word, complement
 PSI_LENGTH_BUDGET = 2**30
 
 
+#: pal_closure searches for this many leading letters of reverse(w) ...
+_SEED = 16
+#: ... and hands over to the Knuth-Morris-Pratt loop when this many of
+#: their occurrences fail to start a palindromic suffix.  A random word
+#: over {a, b} has about one false occurrence per 2^16 letters, so words
+#: of up to about 4 million random letters stay on the search.
+_CANDIDATES = 64
+
+
 def pal_closure(w: str) -> str:
     """Shortest palindrome having ``w`` as a prefix.
 
     Writing w = uQ with Q the longest palindromic suffix of w, the
-    closure is u Q reverse(u).  Q is the longest border of
-    reverse(w) + "#" + w, read off the Knuth-Morris-Pratt prefix
-    function in O(len(w)): the border array of r = reverse(w), then r
-    matched along w, ending at a match of length len(Q).  A match never
-    outgrows the letters read, so no separator is needed and any string
-    is accepted.
+    closure is u Q reverse(u).  With r = reverse(w) and n = len(w), the
+    suffix w[s:] is a palindrome exactly when w ends with r[: n - s], so
+    every suffix at least ``_SEED`` letters long that is a palindrome
+    starts at an occurrence in w of the seed r[:_SEED].  The seed's
+    occurrences are found from the left with ``str.find``, and one
+    ``str.endswith`` confirms or rejects each: the first that passes
+    starts Q.  When the seed occurs no more, Q is shorter than the seed,
+    and each of those lengths is tried in turn.
+
+    A periodic word such as a^k b a^(k+1) has many occurrences that
+    fail.  After ``_CANDIDATES`` of them the closure falls back on the
+    Knuth-Morris-Pratt loop, which finds len(Q) in O(len(w)) Python
+    steps.  So the worst case stays linear: that loop plus a constant
+    number of passes of string search and comparison, run in C.  Any
+    string is accepted.
 
     >>> pal_closure("abaa")
     'abaaba'
     """
     r = w[::-1]
+    n = len(w)
+    seed = r[:_SEED]
+    s = -1
+    for _ in range(_CANDIDATES):
+        s = w.find(seed, s + 1)
+        if s < 0:  # Q is shorter than the seed
+            k = len(seed) - 1
+            while not w.endswith(r[:k]):
+                k -= 1
+            return w + r[k:]
+        if w.endswith(r[: n - s]):
+            return w + r[n - s :]
+    return w + r[_palindromic_suffix_length(w, r) :]
+
+
+def _palindromic_suffix_length(w: str, r: str) -> int:
+    # len(Q) for w and r = reverse(w), in O(len(w)): Q is the longest
+    # border of r + "#" + w, read off the Knuth-Morris-Pratt prefix
+    # function as the border array of r, then r matched along w, ending
+    # at a match of length len(Q).  A match never outgrows the letters
+    # read, so no separator is needed and any string is accepted.
     border = _borders(r)
     k = 0
     for c in w:
@@ -49,7 +95,7 @@ def pal_closure(w: str) -> str:
             k = border[k - 1]
         if c == r[k]:
             k += 1
-    return w + r[k:]
+    return k
 
 
 def period_pair(v: str) -> tuple[int, int]:

@@ -41,7 +41,15 @@ from .distribution import (
     max_count_lower_bound,
     totient,
 )
-from .palindromes import min_period_central, mu, period_pair, psi, psi_inverse, psi_prefix
+from .palindromes import (
+    min_period_central,
+    mu,
+    pal_closure,
+    period_pair,
+    psi,
+    psi_inverse,
+    psi_prefix,
+)
 from .stern import (
     delta_expansion,
     factor_decomposition,
@@ -176,12 +184,20 @@ def check_odd_even_correspondence(k: int, _n: int):
 @_check("palindromization-composition", k=10)
 def check_palindromization_composition(bound: int, _n: int):
     image = {w: psi(w) for w in _words_up_to(bound)}
-    # every (v, u) with |vu| <= bound, split off the words of _words_up_to
-    failures = (
-        (w[:i], w[i:]) for w in image for i in range(len(w) + 1)
-        if image[w] != mu(w[:i], image[w[i:]]) + image[w[:i]]
+    failures = itertools.chain(
+        # every (v, u) with |vu| <= bound, split off the words of _words_up_to
+        (
+            (w[:i], w[i:]) for w in image for i in range(len(w) + 1)
+            if image[w] != mu(w[:i], image[w[i:]]) + image[w[:i]]
+        ),
+        # the definition: each letter x appended, then closed
+        (("closure", w) for w in image if w and image[w] != pal_closure(image[w[:-1]] + w[-1])),
     )
-    return f"psi(vu) = mu_v(psi(u)) psi(v), |vu| <= {bound}", failures
+    detail = (
+        f"psi(vu) = mu_v(psi(u)) psi(v) for |vu| <= {bound},"
+        f" psi(vx) = pal_closure(psi(v) x) for 1 <= |vx| <= {bound}"
+    )
+    return detail, failures
 
 
 @_check("directive-roundtrips", k=12, n=200)

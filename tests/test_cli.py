@@ -11,7 +11,7 @@ from diatomic import cli
 from diatomic.cli import main
 from diatomic.distribution import MAX_ENUMERATED_ORDER
 from diatomic.palindromes import PSI_LENGTH_BUDGET
-from diatomic.stern import MARKED_OCCURRENCE_CAP, ZETA_ARGUMENT_CAP
+from diatomic.stern import MARKED_OCCURRENCE_CAP, ZETA_ARGUMENT_CAP, marked_occurrences
 
 
 def run_cli(capsys, *argv):
@@ -169,6 +169,19 @@ def test_occ_markers_follow_the_alphabet(capsys):
     payload = json.loads(json_out)
     assert payload["markers"] == "ababa"
     assert [row["marker"] for row in payload["occurrences"]] == list("ababa")
+
+
+def test_occ_json_is_the_whole_payload_dumped(capsys):
+    # the rows are written one by one; the bytes are those of one dump
+    for word in ("eps", "b", "abbaa", "abababab"):
+        _, out, _ = run_cli(capsys, "--format", "json", "occ", word)
+        w = "" if word == "eps" else word
+        markers, rows = marked_occurrences(w)
+        occurrences = [
+            {"marker": m, "key": key, "positions": key[::-1]} for m, key in zip(markers, rows)
+        ]
+        payload = {"word": w, "markers": markers, "occurrences": occurrences}
+        assert out == json.dumps(payload, sort_keys=True) + "\n"
 
 
 def test_tree_path(capsys):

@@ -92,6 +92,35 @@ def test_pal_closure_all_short_words():
         assert pal_closure(w) == brute_closure(w)
 
 
+#: The closure's other routes: a two-letter seed, which fails often; the
+#: same seed with a budget of two, which hands over to the
+#: Knuth-Morris-Pratt loop part way; and a budget of none, which takes
+#: that loop every time.
+CLOSURE_ROUTES = {
+    "short-seed": {"_SEED": 2},
+    "fallback": {"_SEED": 2, "_CANDIDATES": 2},
+    "kmp": {"_CANDIDATES": 0},
+}
+
+
+@pytest.mark.parametrize("constants", CLOSURE_ROUTES.values(), ids=CLOSURE_ROUTES)
+def test_pal_closure_routes_on_short_words(monkeypatch, constants):
+    for name, value in constants.items():
+        monkeypatch.setattr(palindromes, name, value)
+    for w in words_up_to(12):
+        assert pal_closure(w) == brute_closure(w)
+
+
+@given(st.text(alphabet="ab#é€", max_size=64))
+def test_pal_closure_any_letters(w):
+    # any letters, ASCII or not, on the search and on the KMP route
+    closed = brute_closure(w)
+    assert pal_closure(w) == closed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(palindromes, "_CANDIDATES", 0)
+        assert pal_closure(w) == closed
+
+
 def test_pal_closure_long_inputs():
     k = 50_000
     rng = random.Random(5)

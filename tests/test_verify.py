@@ -105,6 +105,10 @@ PLANTED = {
     "odd-length-even-period": (
         verify.check_odd_even_correspondence, (6, 0), "period_pair", "ab",
         lambda pair: (pair[0] + 1, pair[1]), "'ab'"),
+    # psi("a") "b" closed to "bab" instead of "aba"
+    "palindromization-composition": (
+        verify.check_palindromization_composition, (6, 0), "pal_closure", "ab",
+        lambda closed: closed.translate(SWAP_LETTERS), "('closure', 'ab')"),
     "occurrence-markers": (
         verify.check_occurrence_markers, (6, 0), "marked_occurrences", "abb",
         lambda table: (table[0].translate(SWAP_LETTERS), table[1]), "'abb'"),
