@@ -10,8 +10,7 @@ modular inverses of the slope parts.
 from diatomic import (
     christoffel_by_directive,
     christoffel_by_slope,
-    directive_of,
-    is_christoffel,
+    christoffel_of_word,
     is_standard,
     lyndon_factorization,
     period_pair,
@@ -21,7 +20,7 @@ from diatomic import (
 cw = christoffel_by_slope(4, 7)
 print(f"christoffel(4/7) = {cw.word}")
 print(f"  via directive  = {christoffel_by_directive('abaa').word}")
-print(f"  directive      = {directive_of(cw.word)}, order {cw.order}")
+print(f"  directive      = {christoffel_of_word(cw.word).directive}, order {cw.order}")
 print(f"  period pair    = {period_pair(cw.directive)}")
 
 w1, w2 = lyndon_factorization(cw)
@@ -32,7 +31,8 @@ print(f"  inverses mod {n}: {len(w1.word)}*4 = {len(w1.word)*4 % n}, "
       f"{len(w2.word)}*7 = {len(w2.word)*7 % n}")
 print()
 
-print(f"is_christoffel('ab') = {is_christoffel('ab')}, is_christoffel('ba') = {is_christoffel('ba')}")
+print(f"is_christoffel('ab') = {christoffel_of_word('ab') is not None}, "
+      f"is_christoffel('ba') = {christoffel_of_word('ba') is not None}")
 print()
 
 # the continued-fraction-style recurrence for standard words; all ones

@@ -7,6 +7,8 @@ top, and summing the per-length counts across all orders recovers
 Euler's totient.
 """
 
+from fractions import Fraction
+
 from diatomic import (
     almost_alternating,
     alternating,
@@ -23,7 +25,7 @@ from diatomic import (
 k = 6
 h = histogram(k)
 print(f"order {k}: {h.mass} words, total length {h.weighted_mass}, "
-      f"average {h.average_length}")
+      f"average {Fraction(h.weighted_mass, h.mass)}")
 print("histogram:")
 for n, c in h.counts.items():
     print(f"  {n:3} {'#' * c}")

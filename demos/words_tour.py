@@ -16,7 +16,6 @@ from diatomic import (
     min_period,
     plus_prefix,
     plus_suffix,
-    reverse,
     subword_binomial,
     word_of,
 )
@@ -24,7 +23,7 @@ from diatomic import (
 w = "abbabab"
 print(f"w                = {w}")
 print(f"complement(w)    = {complement(w)}")
-print(f"reverse(w)       = {reverse(w)}")
+print(f"reverse(w)       = {w[::-1]}")
 print(f"plus_prefix(w)   = {plus_prefix(w)}   (longest prefix followed by {complement(w[-1])})")
 print(f"plus_suffix(w)   = {plus_suffix(w)}   (longest suffix preceded by {complement(w[0])})")
 print()

@@ -15,9 +15,6 @@ from .christoffel import (
     christoffel_by_directive,
     christoffel_by_slope,
     christoffel_of_word,
-    directive_of,
-    is_central,
-    is_christoffel,
     is_standard,
     lyndon_factorization,
     standard_by_coefficients,
@@ -78,7 +75,6 @@ from .words import (
     plus_prefix,
     plus_suffix,
     reduced_rep,
-    reverse,
     subword_binomial,
     word_of,
 )

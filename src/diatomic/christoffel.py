@@ -5,6 +5,8 @@ is a single letter or a central word followed by ab or ba; a Christoffel
 word is a single letter or a central word wrapped as a . central . b.
 Proper Christoffel words carry an irreducible slope |w|_b / |w|_a and a
 directive word, and are exactly the Lyndon words among Sturmian factors.
+Each class has one recognizer: :func:`palindromes.psi_inverse` for
+central words, :func:`christoffel_of_word` and :func:`is_standard`.
 """
 
 from __future__ import annotations
@@ -119,39 +121,26 @@ def christoffel_by_directive(v: str) -> ChristoffelWord:
 
 
 def christoffel_of_word(w: str) -> ChristoffelWord | None:
-    """Recognize ``w`` as a Christoffel word, or return None."""
-    v = directive_of(w)
+    """Recognize ``w`` as a Christoffel word, or return None: a single
+    letter, or a . central . b with the directive that
+    :func:`psi_inverse` reads back off its central part.
+
+    >>> christoffel_of_word("aabaabaabab").directive, christoffel_of_word("ba")
+    ('abaa', None)
+    """
+    framed = len(w) >= 2 and w[0] == "a" and w[-1] == "b"
+    v = psi_inverse(w[1:-1]) if framed else None
     if v is None and w not in ("a", "b"):
         return None
     b = w.count("b")  # every other letter is an a
     return ChristoffelWord(w, Frac(b, len(w) - b), v)
 
 
-def directive_of(w: str) -> str | None:
-    """Directive word of a proper Christoffel word, or None when ``w``
-    is not of the form a . central . b (single letters have none).
-
-    >>> directive_of("aabaabaabab")
-    'abaa'
-    """
-    if len(w) < 2 or w[0] != "a" or w[-1] != "b":
-        return None
-    return psi_inverse(w[1:-1])
-
-
-def is_central(w: str) -> bool:
-    return psi_inverse(w) is not None
-
-
 def is_standard(w: str) -> bool:
     """True for single letters and for central words extended by ab or ba."""
     if w in ("a", "b"):
         return True
-    return len(w) >= 2 and w[-2:] in ("ab", "ba") and is_central(w[:-2])
-
-
-def is_christoffel(w: str) -> bool:
-    return christoffel_of_word(w) is not None
+    return len(w) >= 2 and w[-2:] in ("ab", "ba") and psi_inverse(w[:-2]) is not None
 
 
 def lyndon_factorization(cw: ChristoffelWord) -> tuple[ChristoffelWord, ChristoffelWord]:

@@ -103,10 +103,6 @@ class LengthHistogram:
         """Sum of all lengths; equals 2 * 3^order."""
         return sum(n * c for n, c in self.counts.items())
 
-    @property
-    def average_length(self) -> Fraction:
-        return Fraction(self.weighted_mass, self.mass)
-
     @cached_property
     def support(self) -> list[int]:
         return sorted(self.counts)

@@ -32,7 +32,12 @@ from functools import cache, wraps
 from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .christoffel import christoffel_by_slope, lyndon_factorization
+from .christoffel import (
+    christoffel_by_directive,
+    christoffel_by_slope,
+    christoffel_of_word,
+    lyndon_factorization,
+)
 from .continuants import christoffel_length_cf, fib, mirror_formula
 from .distribution import (
     bound_report_histogram,
@@ -202,20 +207,28 @@ def check_palindromization_composition(bound: int, _n: int):
 
 @_check("directive-roundtrips", k=12, n=200)
 def check_directive_roundtrip(k: int, limit: int):
+    short = min(k, 10)
+    image = {v: psi(v) for v in _words_up_to(k)}
+    # every central word of at most ``short`` letters has a directive as short
+    directive = {w: v for v, w in image.items() if len(w) <= short}
     failures = itertools.chain(
-        (("psi", v) for v in _words_up_to(k) if psi_inverse(psi(v)) != v),
+        (("psi", v) for v, w in image.items() if psi_inverse(w) != v),
+        (("central", w) for w in _words_up_to(short) if psi_inverse(w) != directive.get(w)),
         (
             ("slope", p, q) for p in range(1, limit + 1)
             for q in range(1, limit + 1 - p)
             if gcd(p, q) == 1
             for cw in [christoffel_by_slope(p, q)]
-            if cw.directive is None
-            or cw.word[0] + cw.word[-1] != "ab"
-            or psi_inverse(cw.word[1:-1]) != cw.directive
-            or not stern_brocot(cw.directive) == cw.slope == (p, q)
+            if cw.slope != (p, q)
+            or christoffel_of_word(cw.word) != cw
+            or stern_brocot(cw.directive) != cw.slope
         ),
     )
-    return f"psi and slope inversions, |v| <= {k}, p+q <= {limit}", failures
+    detail = (
+        f"psi and slope inversions, |v| <= {k}, p+q <= {limit},"
+        f" central words recognized for |w| <= {short}"
+    )
+    return detail, failures
 
 
 @_check("lyndon-factorization", k=10)
@@ -226,13 +239,15 @@ def check_factorization(k: int, _n: int):
         n = len(cw.word)
         p, q = cw.slope
         return (
-            w1.word + w2.word != cw.word
+            christoffel_by_directive(v) != cw
+            or w1.word + w2.word != cw.word
             or not w1.word < w2.word
             or (len(w1.word) * p) % n != 1
             or (len(w2.word) * q) % n != 1
         )
 
-    return f"split, order, modular inverses for |v| <= {k}", filter(fails, _words_up_to(k))
+    detail = f"slope route = directive route, split, order, modular inverses for |v| <= {k}"
+    return detail, filter(fails, _words_up_to(k))
 
 
 @_check("occurrence-markers", k=10)

@@ -39,11 +39,6 @@ def complement(w: str) -> str:
     return w.translate(_COMPLEMENT)
 
 
-def reverse(w: str) -> str:
-    """Letters of ``w`` in reverse order."""
-    return w[::-1]
-
-
 def is_constant(w: str) -> bool:
     """True for z^k with k >= 0 (includes the empty word)."""
     return len(set(w)) <= 1

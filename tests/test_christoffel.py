@@ -10,16 +10,19 @@ from diatomic.christoffel import (
     christoffel_by_directive,
     christoffel_by_slope,
     christoffel_of_word,
-    directive_of,
-    is_central,
-    is_christoffel,
     is_standard,
     lyndon_factorization,
     standard_by_coefficients,
 )
 from diatomic import palindromes
-from diatomic.palindromes import PSI_LENGTH_BUDGET, min_period_central, period_pair, psi
-from diatomic.words import BudgetError, complement, is_lyndon, min_period, reverse
+from diatomic.palindromes import (
+    PSI_LENGTH_BUDGET,
+    min_period_central,
+    period_pair,
+    psi,
+    psi_inverse,
+)
+from diatomic.words import BudgetError, complement, is_lyndon, min_period
 
 
 def letterwise_christoffel(p, q):
@@ -182,36 +185,37 @@ def test_two_construction_routes_agree():
                 continue
             cw = christoffel_by_slope(p, q)
             assert cw.word.count("b") == p and cw.word.count("a") == q
+            assert christoffel_of_word(cw.word) == cw
             if cw.proper:
-                assert christoffel_by_directive(cw.directive).word == cw.word
-                assert directive_of(cw.word) == cw.directive
+                assert christoffel_by_directive(cw.directive) == cw
 
 
 def test_directive_of_examples():
-    assert directive_of("aabaabaabab") == "abaa"
-    assert directive_of("ab") == ""
-    assert directive_of("ba") is None
-    assert directive_of("aabb") is None
+    assert christoffel_of_word("aabaabaabab").directive == "abaa"
+    assert christoffel_of_word("ab").directive == ""
+    assert christoffel_of_word("a").directive is None
+    assert christoffel_of_word("ba") is None
+    assert christoffel_of_word("aabb") is None
 
 
 def test_recognizers(small_words):
     for w in small_words:
-        assert is_central(w) == brute_is_central(w)
-    assert is_central("abaabaaba")
-    assert is_central("")
+        assert (psi_inverse(w) is not None) == brute_is_central(w)
+    assert psi_inverse("abaabaaba") == "abaa"
+    assert psi_inverse("") == ""
     assert is_standard(psi("aba") + "ab")
     assert is_standard("a") and is_standard("b")
     assert not is_standard("")
     assert not is_standard("bb")
     assert not is_standard("abab")
-    assert is_christoffel("a") and is_christoffel("ab")
-    assert not is_christoffel("ba")
+    assert christoffel_of_word("a") is not None and christoffel_of_word("ab") is not None
+    assert christoffel_of_word("ba") is None
 
 
 def test_standard_set_shape(small_words):
     for w in small_words:
         expected = w in ("a", "b") or (
-            len(w) >= 2 and w[-2:] in ("ab", "ba") and is_central(w[:-2])
+            len(w) >= 2 and w[-2:] in ("ab", "ba") and brute_is_central(w[:-2])
         )
         assert is_standard(w) == expected
 
@@ -261,10 +265,10 @@ def test_christoffel_words_are_lyndon():
 def test_reversed_directive_periods_are_letter_counts():
     for v in words_up_to(12):
         w = "a" + psi(v) + "b"
-        assert period_pair(reverse(v)) == (w.count("b"), w.count("a"))
+        assert period_pair(v[::-1]) == (w.count("b"), w.count("a"))
         if v:
             # the minimal period of the reversed image counts the rarer letter
-            assert min_period_central(reverse(v)) == w.count(complement(v[0]))
+            assert min_period_central(v[::-1]) == w.count(complement(v[0]))
 
 
 def test_length_decompositions():

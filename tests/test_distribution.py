@@ -109,7 +109,6 @@ def test_histogram_masses():
         h = histogram(k)
         assert h.mass == 2**k
         assert h.weighted_mass == 2 * 3**k
-        assert h.average_length == Fraction(2 * 3**k, 2**k) == 2 * Fraction(3, 2) ** k
 
 
 def test_histogram_budget(monkeypatch):

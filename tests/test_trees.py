@@ -16,7 +16,6 @@ from diatomic.trees import (
     stern_brocot,
     tree_node,
 )
-from diatomic.words import reverse
 
 
 def mediant_label(path):
@@ -88,7 +87,7 @@ def test_stern_brocot_examples():
 
 def test_duality(small_words):
     for w in small_words:
-        assert stern_brocot(w) == raney(reverse(w))
+        assert stern_brocot(w) == raney(w[::-1])
         assert stern_brocot(w) == mediant_label(w)
 
 

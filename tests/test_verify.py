@@ -109,6 +109,14 @@ PLANTED = {
     "palindromization-composition": (
         verify.check_palindromization_composition, (6, 0), "pal_closure", "ab",
         lambda closed: closed.translate(SWAP_LETTERS), "('closure', 'ab')"),
+    # "ab" is not central, and read back as its own directive
+    "directive-roundtrips": (
+        verify.check_directive_roundtrip, (6, 0), "psi_inverse", "ab",
+        lambda v: "ab", "('central', 'ab')"),
+    # the directive route's word of "ab" with its letters swapped
+    "lyndon-factorization": (
+        verify.check_factorization, (6, 0), "christoffel_by_directive", "ab",
+        lambda cw: replace(cw, word=cw.word.translate(SWAP_LETTERS)), "'ab'"),
     "occurrence-markers": (
         verify.check_occurrence_markers, (6, 0), "marked_occurrences", "abb",
         lambda table: (table[0].translate(SWAP_LETTERS), table[1]), "'abb'"),

@@ -15,7 +15,6 @@ from diatomic.words import (
     plus_prefix,
     plus_suffix,
     reduced_rep,
-    reverse,
     subword_binomial,
     word_of,
 )
@@ -45,17 +44,10 @@ def test_complement_examples():
     assert complement("abbaa") == "baabb"
 
 
-def test_reverse_examples():
-    assert reverse("") == ""
-    assert reverse("aab") == "baa"
-    assert reverse("aba") == "aba"
-
-
 @given(words)
 def test_involutions_commute(w):
-    assert reverse(reverse(w)) == w
     assert complement(complement(w)) == w
-    assert complement(reverse(w)) == reverse(complement(w))
+    assert complement(w[::-1]) == complement(w)[::-1]
 
 
 def test_drop_and_plus_examples():
@@ -81,7 +73,7 @@ def test_plus_prefix_brute(small_words):
         wanted = complement(v[-1])
         best = max(i for i in range(len(v)) if v[i] == wanted)
         assert plus_prefix(v) == v[:best]
-        assert plus_suffix(v) == reverse(plus_prefix(reverse(v)))
+        assert plus_suffix(v) == plus_prefix(v[::-1])[::-1]
 
 
 def test_plus_prefix_is_proper_prefix_of_drop_last(small_words):
