@@ -1,8 +1,10 @@
 """Command-line interface.
 
-Every library operation is reachable from a subcommand; ``verify``
-replays the cross-route identity suite.  Exit codes are fixed so the
-tool can be scripted:
+Each subcommand runs one construction, recognizer or lookup, and
+``verify`` replays the cross-route identity suite; the rest of the
+library (bound reports, per-length order counts, prefixes of infinite
+images, marked morphisms, subword counts) has no subcommand and is
+called from Python.  Exit codes are fixed so the tool can be scripted:
 
     0  success
     1  stdout was closed by its reader before the output ended

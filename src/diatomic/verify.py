@@ -72,7 +72,7 @@ from .stern import (
     zeta_sterns,
 )
 from .trees import nu, path_of_fraction, ra_of, raney, stern_brocot
-from .words import complement, encode, is_constant
+from .words import complement, encode, is_constant, is_lyndon, min_period
 
 STERN_PREFIX = (
     0, 1, 1, 2, 1, 3, 2, 3, 1, 4, 3, 5, 2, 5, 3, 4,
@@ -188,6 +188,7 @@ def check_odd_even_correspondence(k: int, _n: int):
 
 @_check("palindromization-composition", k=10)
 def check_palindromization_composition(bound: int, _n: int):
+    short = min(bound, 8)
     image = {w: psi(w) for w in _words_up_to(bound)}
     failures = itertools.chain(
         # every (v, u) with |vu| <= bound, split off the words of _words_up_to
@@ -197,10 +198,16 @@ def check_palindromization_composition(bound: int, _n: int):
         ),
         # the definition: each letter x appended, then closed
         (("closure", w) for w in image if w and image[w] != pal_closure(image[w[:-1]] + w[-1])),
+        # the border route (KMP) against the period-pair route
+        (
+            ("period", v) for v in _words_up_to(short)
+            if min_period(image[v]) != min_period_central(v)
+        ),
     )
     detail = (
         f"psi(vu) = mu_v(psi(u)) psi(v) for |vu| <= {bound},"
-        f" psi(vx) = pal_closure(psi(v) x) for 1 <= |vx| <= {bound}"
+        f" psi(vx) = pal_closure(psi(v) x) for 1 <= |vx| <= {bound},"
+        f" min_period(psi(v)) = min_period_central(v) for |v| <= {short}"
     )
     return detail, failures
 
@@ -211,9 +218,17 @@ def check_directive_roundtrip(k: int, limit: int):
     image = {v: psi(v) for v in _words_up_to(k)}
     # every central word of at most ``short`` letters has a directive as short
     directive = {w: v for v, w in image.items() if len(w) <= short}
+    christoffel = {"a", "b"} | {
+        christoffel_by_slope(p, m - p).word
+        for m in range(2, short + 1) for p in range(1, m) if gcd(p, m - p) == 1
+    }
     failures = itertools.chain(
         (("psi", v) for v, w in image.items() if psi_inverse(w) != v),
         (("central", w) for w in _words_up_to(short) if psi_inverse(w) != directive.get(w)),
+        (
+            ("christoffel", w) for w in _words_up_to(short)
+            if (christoffel_of_word(w) is not None) != (w in christoffel)
+        ),
         (
             ("slope", p, q) for p in range(1, limit + 1)
             for q in range(1, limit + 1 - p)
@@ -226,13 +241,15 @@ def check_directive_roundtrip(k: int, limit: int):
     )
     detail = (
         f"psi and slope inversions, |v| <= {k}, p+q <= {limit},"
-        f" central words recognized for |w| <= {short}"
+        f" central and Christoffel words recognized for |w| <= {short}"
     )
     return detail, failures
 
 
 @_check("lyndon-factorization", k=10)
 def check_factorization(k: int, _n: int):
+    short = min(k, 8)
+
     def fails(v: str) -> bool:
         cw = christoffel_by_slope(*stern_brocot(v))
         w1, w2 = lyndon_factorization(cw)
@@ -244,9 +261,13 @@ def check_factorization(k: int, _n: int):
             or not w1.word < w2.word
             or (len(w1.word) * p) % n != 1
             or (len(w2.word) * q) % n != 1
+            or (len(v) <= short and not is_lyndon(cw.word))
         )
 
-    detail = f"slope route = directive route, split, order, modular inverses for |v| <= {k}"
+    detail = (
+        f"slope route = directive route, split, order, modular inverses for |v| <= {k},"
+        f" Lyndon words for |v| <= {short}"
+    )
     return detail, filter(fails, _words_up_to(k))
 
 

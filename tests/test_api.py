@@ -1,5 +1,5 @@
 """The package's public surface: no export hides a submodule, every
-export is reached by the library itself, a demo or the README, and
+export is reached by the library itself or the README, and
 ``verify`` reaches every exported function but a declared few."""
 
 import ast
@@ -43,8 +43,7 @@ def test_every_export_has_a_caller():
         (source, without_definitions(source))
         for source in (p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py")
     ]
-    shown = [p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))]
-    shown.append((ROOT / "README.md").read_text())
+    readme = (ROOT / "README.md").read_text()
     exported = sorted(
         name for name, value in vars(diatomic).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
@@ -53,7 +52,7 @@ def test_every_export_has_a_caller():
         name for name in exported
         if not any(
             re.search(rf"\b{name}\b", text)
-            for text in [*shown, *(cut.get(name, source) for source, cut in library)]
+            for text in [readme, *(cut.get(name, source) for source, cut in library)]
         )
     ]
     assert uncalled == []
@@ -62,18 +61,16 @@ def test_every_export_has_a_caller():
 #: Exported functions that no ``verify`` check calls, each with its one
 #: caller outside the library's identities.
 UNVERIFIED = {
-    "bound_report": "demos/length_distribution_tour.py",
-    "factor_count": "demos/words_tour.py",
-    "is_lyndon": "demos/words_tour.py",
-    "is_standard": "demos/christoffel_tour.py",
-    "min_period": "demos/words_tour.py",
-    "plus_suffix": "demos/words_tour.py",
-    "standard_by_coefficients": "demos/christoffel_tour.py",
+    "bound_report": "README.md",
+    "factor_count": "README.md",
+    "is_standard": "README.md",
+    "plus_suffix": "README.md",
+    "standard_by_coefficients": "README.md",
     "stern_via_zeta": "src/diatomic/cli.py",
-    "subword_binomial": "demos/words_tour.py",
+    "subword_binomial": "README.md",
     "tree_node": "src/diatomic/cli.py",
-    "word_of": "demos/words_tour.py",
-    "zeta": "demos/stern_tour.py",
+    "word_of": "README.md",
+    "zeta": "README.md",
 }
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from diatomic import cli, verify
+from diatomic import ChristoffelWord, cli, verify
 from diatomic.distribution import counts_for_length
 from diatomic.fracs import Frac
 
@@ -98,8 +98,9 @@ def test_failures_name_their_first_case(monkeypatch, fresh_orders):
 
 SWAP_LETTERS = str.maketrans("ab", "ba")
 
-#: For each check: its bounds, the route planted wrong, the one argument
-#: it is wrong at, how it is wrong there, and the case the FAIL names.
+#: For each check, or one case of it after the colon: its bounds, the
+#: route planted wrong, the one argument it is wrong at, how it is wrong
+#: there, and the case the FAIL names.
 PLANTED = {
     "stern-prefix-values": (verify.check_stern_prefix, (0, 0), "stern", 20, lambda s: s + 1, "20"),
     "odd-length-even-period": (
@@ -109,14 +110,25 @@ PLANTED = {
     "palindromization-composition": (
         verify.check_palindromization_composition, (6, 0), "pal_closure", "ab",
         lambda closed: closed.translate(SWAP_LETTERS), "('closure', 'ab')"),
+    # the border route one too long on psi("ab") = "aba"
+    "palindromization-composition:period": (
+        verify.check_palindromization_composition, (6, 0), "min_period", "aba",
+        lambda period: period + 1, "('period', 'ab')"),
     # "ab" is not central, and read back as its own directive
     "directive-roundtrips": (
         verify.check_directive_roundtrip, (6, 0), "psi_inverse", "ab",
         lambda v: "ab", "('central', 'ab')"),
+    # the a...b frame test dropped: "bab" read as b . psi("a") . b
+    "directive-roundtrips:christoffel": (
+        verify.check_directive_roundtrip, (6, 0), "christoffel_of_word", "bab",
+        lambda _: ChristoffelWord("bab", Frac(2, 1), "a"), "('christoffel', 'bab')"),
     # the directive route's word of "ab" with its letters swapped
     "lyndon-factorization": (
         verify.check_factorization, (6, 0), "christoffel_by_directive", "ab",
         lambda cw: replace(cw, word=cw.word.translate(SWAP_LETTERS)), "'ab'"),
+    # the word of directive "a", "aab", not taken for a Lyndon word
+    "lyndon-factorization:lyndon": (
+        verify.check_factorization, (6, 0), "is_lyndon", "aab", lambda ok: not ok, "'a'"),
     "occurrence-markers": (
         verify.check_occurrence_markers, (6, 0), "marked_occurrences", "abb",
         lambda table: (table[0].translate(SWAP_LETTERS), table[1]), "'abb'"),
