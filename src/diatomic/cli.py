@@ -18,7 +18,9 @@ Words are written over {a, b}, or over {0, 1} with ``--alphabet 01``;
 the empty word is written ``eps``.  JSON output always uses the a/b
 spelling so that parsed values round-trip through the library.
 
-``main`` builds its parser once per process, on its first call, so a
+Each subcommand is declared once, as its subparser: its arguments, its
+handler and, for the commands that print a table, its csv header.
+``main`` builds that parser once per process, on its first call, so a
 further in-process call costs only parsing and its handler.
 """
 
@@ -28,6 +30,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from functools import cache
 from itertools import repeat
@@ -35,7 +38,6 @@ from typing import Any, Callable, Iterable, Sequence
 
 from . import verify as verify_mod
 from .christoffel import (
-    ChristoffelWord,
     christoffel_by_directive,
     christoffel_by_slope,
     lyndon_factorization,
@@ -105,7 +107,13 @@ def _render_word(w: str, alphabet: str) -> str:
     return w.translate(_TO_01) if alphabet == "01" else w
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # main's parser, built on its first call rather than at import;
+    # argparse keeps no state between parses and writes to sys.stdout
+    # and sys.stderr as they are at call time, so one parser serves all.
+    # Each subparser carries its handler as ``run`` and the header of its
+    # csv table as ``csv_header``; main refuses csv where that is None.
     parser = argparse.ArgumentParser(
         prog="diatomic",
         description="Christoffel words, tree labelings, and Stern's diatomic sequence.",
@@ -122,17 +130,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psi", help="palindromization image of a directive word")
     p.add_argument("word")
+    p.set_defaults(run=_cmd_psi, csv_header=None)
 
     p = sub.add_parser("closure", help="right palindromic closure of a word")
     p.add_argument("word")
+    p.set_defaults(run=_cmd_closure, csv_header=None)
 
     p = sub.add_parser("directive", help="directive word of a central word")
     p.add_argument("word")
+    p.set_defaults(run=_cmd_directive, csv_header=None)
 
     p = sub.add_parser("christoffel", help="build a Christoffel word and factor it")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--slope", help="irreducible fraction p/q")
     group.add_argument("--directive", help="directive word")
+    p.set_defaults(run=_cmd_christoffel, csv_header=None)
 
     p = sub.add_parser("stern", help="Stern sequence values")
     p.add_argument("n")
@@ -141,40 +153,28 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("recurrence", "christoffel", "subwords", "zeta", "all"),
         default="recurrence",
     )
+    p.set_defaults(run=_cmd_stern, csv_header=None)
 
     p = sub.add_parser("occ", help="marked pattern occurrences spelling a standard word")
     p.add_argument("word")
+    p.set_defaults(run=_cmd_occ, csv_header=("marker", "key", "occurrence"))
 
     p = sub.add_parser("tree", help="node number and tree labels of a path")
     p.add_argument("path", nargs="?")
     p.add_argument("--fraction", help="look a label up instead of giving a path")
     p.add_argument("--flavor", choices=("raney", "sternbrocot"), default="raney")
+    p.set_defaults(run=_cmd_tree, csv_header=None)
 
     p = sub.add_parser("dist", help="length distribution of one order")
     p.add_argument("k", type=int)
+    p.set_defaults(run=_cmd_dist, csv_header=("k", "n", "count"))
 
     p = sub.add_parser("verify", help="run the identity suite")
     p.add_argument("--max-k", type=_bound, default=verify_mod.DEFAULT_MAX_K)
     p.add_argument("--max-n", type=_bound, default=verify_mod.DEFAULT_MAX_N)
+    p.set_defaults(run=_cmd_verify, csv_header=("name", "ok", "detail"))
 
     return parser
-
-
-@cache
-def _parser() -> argparse.ArgumentParser:
-    # main's parser, built on its first call rather than at import;
-    # argparse keeps no state between parses and writes to sys.stdout
-    # and sys.stderr as they are at call time, so one parser serves all
-    return build_parser()
-
-
-#: The commands that print a table, each with its csv header; ``main``
-#: refuses csv for any other command before its handler runs.
-_CSV_HEADERS = {
-    "occ": ("marker", "key", "occurrence"),
-    "dist": ("k", "n", "count"),
-    "verify": ("name", "ok", "detail"),
-}
 
 
 def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict,
@@ -183,7 +183,7 @@ def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict,
         print(json.dumps(payload, sort_keys=True))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(_CSV_HEADERS[args.command])
+        writer.writerow(args.csv_header)
         writer.writerows(csv_rows)
     elif text_lines:
         print("\n".join(text_lines))
@@ -215,12 +215,17 @@ def _cmd_directive(args: argparse.Namespace) -> int:
     return _emit(args, [line], {"word": w, "directive": v, "order": len(v)})
 
 
-def _christoffel_payload(cw: ChristoffelWord, alphabet: str) -> tuple[list[str], dict]:
+def _cmd_christoffel(args: argparse.Namespace) -> int:
+    if args.slope is not None:
+        p, q = _parsed(split_frac, args.slope)
+        cw = christoffel_by_slope(p, q)
+    else:
+        cw = christoffel_by_directive(_parse_word(args.directive, args.alphabet))
     lines = [
-        f"word: {_render_word(cw.word, alphabet)}",
+        f"word: {_render_word(cw.word, args.alphabet)}",
         f"slope: {cw.slope}",
         f"order: {cw.order if cw.proper else '-'}",
-        f"directive: {_render_word(cw.directive, alphabet) if cw.proper else '-'}",
+        f"directive: {_render_word(cw.directive, args.alphabet) if cw.proper else '-'}",
     ]
     payload: dict = {
         "word": cw.word,
@@ -234,7 +239,8 @@ def _christoffel_payload(cw: ChristoffelWord, alphabet: str) -> tuple[list[str],
         inv1 = (len(w1.word) * cw.slope.num) % n
         inv2 = (len(w2.word) * cw.slope.den) % n
         lines += [
-            f"factors: {_render_word(w1.word, alphabet)} {_render_word(w2.word, alphabet)}",
+            f"factors: {_render_word(w1.word, args.alphabet)}"
+            f" {_render_word(w2.word, args.alphabet)}",
             f"factor lengths: {len(w1.word)} {len(w2.word)}",
             f"inverse check: {len(w1.word)}*{cw.slope.num} = {inv1},"
             f" {len(w2.word)}*{cw.slope.den} = {inv2} (mod {n})",
@@ -243,16 +249,6 @@ def _christoffel_payload(cw: ChristoffelWord, alphabet: str) -> tuple[list[str],
         payload["inverse_check"] = [inv1, inv2]
         if inv1 != 1 or inv2 != 1:
             raise AssertionError("factor lengths are not modular inverses of the slope")
-    return lines, payload
-
-
-def _cmd_christoffel(args: argparse.Namespace) -> int:
-    if args.slope is not None:
-        p, q = _parsed(split_frac, args.slope)
-        cw = christoffel_by_slope(p, q)
-    else:
-        cw = christoffel_by_directive(_parse_word(args.directive, args.alphabet))
-    lines, payload = _christoffel_payload(cw, args.alphabet)
     return _emit(args, lines, payload)
 
 
@@ -260,6 +256,13 @@ def _cmd_stern(args: argparse.Namespace) -> int:
     try:
         n = int(args.n)
     except ValueError:
+        # a well-formed integer that int refuses has more digits than
+        # Python converts; s(n) <= n, so any n it converts also prints
+        if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", args.n):
+            raise BudgetError(
+                f"n has more than {sys.get_int_max_str_digits()} digits,"
+                " the limit of integer string conversion"
+            ) from None
         raise _ParseFailure(f"not an integer: {args.n!r}") from None
     methods = {
         "recurrence": stern,
@@ -311,7 +314,7 @@ def _cmd_occ(args: argparse.Namespace) -> int:
     )
     if args.format == "csv":
         return _emit(args, [], {}, cells)
-    lines = ["  ".join(row) for row in (_CSV_HEADERS["occ"], *cells)]
+    lines = ["  ".join(row) for row in (args.csv_header, *cells)]
     lines.append(f"word: {shown}")
     return _emit(args, lines, {})
 
@@ -386,19 +389,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if passed == len(results) else EXIT_DISAGREE
 
 
-_HANDLERS = {
-    "psi": _cmd_psi,
-    "closure": _cmd_closure,
-    "directive": _cmd_directive,
-    "christoffel": _cmd_christoffel,
-    "stern": _cmd_stern,
-    "occ": _cmd_occ,
-    "tree": _cmd_tree,
-    "dist": _cmd_dist,
-    "verify": _cmd_verify,
-}
-
-
 #: Options whose value is a fraction and so may start with "-".
 _FRACTION_OPTIONS = ("--fraction", "--slope")
 
@@ -424,11 +414,11 @@ def _attach_fraction_values(argv: Sequence[str]) -> list[str]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(_attach_fraction_values(sys.argv[1:] if argv is None else argv))
-    if args.format == "csv" and args.command not in _CSV_HEADERS:
+    if args.format == "csv" and args.csv_header is None:
         print(f"csv output is not available for '{args.command}'", file=sys.stderr)
         return EXIT_PARSE
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except _ParseFailure as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE

@@ -1,12 +1,12 @@
 """The package's public surface: no export hides a submodule, every
-export is reached by the library itself or the README, and
+export is read by library code or a README doctest line, and
 ``verify`` reaches every exported function but a declared few."""
 
 import ast
 import pkgutil
-import re
 import sys
 import types
+from collections import defaultdict
 from importlib import import_module
 from pathlib import Path
 
@@ -17,16 +17,31 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(diatomic.__file__).resolve().parent
 
 
-def without_definitions(source):
-    """name -> ``source`` with that name's top-level def or class cut out,
-    for every name the module defines so."""
-    lines = source.splitlines()
-    cut = {}
-    for node in ast.parse(source).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            start = min([node.lineno, *(d.lineno for d in node.decorator_list)])
-            cut[node.name] = "\n".join(lines[: start - 1] + lines[node.end_lineno :])
-    return cut
+def read_names(tree):
+    """The names and attribute names that ``tree`` reads."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def callers():
+    """name -> the files that call it: README.md when a doctest line reads
+    it, and a library module when code outside the name's own top-level
+    definition reads it.  Prose and comments call nothing, nor does the
+    package's import list."""
+    found = defaultdict(set)
+    readme = (ROOT / "README.md").read_text().splitlines()
+    doctest = "\n".join(line[4:] for line in readme if line.startswith((">>> ", "... ")))
+    for name in read_names(ast.parse(doctest)):
+        found[name].add("README.md")
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            for top in ast.parse(path.read_text()).body:
+                for name in read_names(top) - {getattr(top, "name", None)}:
+                    found[name].add(str(path.relative_to(ROOT)))
+    return found
 
 
 def test_no_export_shadows_a_submodule():
@@ -38,24 +53,12 @@ def test_no_export_shadows_a_submodule():
 
 
 def test_every_export_has_a_caller():
-    # the package's import list is not a caller, nor is a name's own body
-    library = [
-        (source, without_definitions(source))
-        for source in (p.read_text() for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py")
-    ]
-    readme = (ROOT / "README.md").read_text()
     exported = sorted(
         name for name, value in vars(diatomic).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
-    uncalled = [
-        name for name in exported
-        if not any(
-            re.search(rf"\b{name}\b", text)
-            for text in [readme, *(cut.get(name, source) for source, cut in library)]
-        )
-    ]
-    assert uncalled == []
+    found = callers()
+    assert [name for name in exported if not found[name]] == []
 
 
 #: Exported functions that no ``verify`` check calls, each with its one
@@ -92,5 +95,6 @@ def test_verify_reaches_every_export_but_the_declared_few():
         sys.setprofile(None)
     assert all(result.ok for result in results)
     assert sorted(set(functions.values()) - called) == sorted(UNVERIFIED)
+    found = callers()
     for name, caller in UNVERIFIED.items():
-        assert re.search(rf"\b{name}\b", (ROOT / caller).read_text()), (name, caller)
+        assert caller in found[name], (name, caller)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -136,6 +137,18 @@ def test_stern_zeta_budget(capsys):
 def test_stern_parse_error(capsys):
     code, _, _ = run_cli(capsys, "stern", "seven")
     assert code == 2
+
+
+def test_stern_past_the_integer_digit_limit(capsys):
+    # a well-formed n that Python will not convert is refused as too large,
+    # by a message that names the digit limit and not the input
+    limit = sys.get_int_max_str_digits()
+    for n in ("7" * (limit + 1), f" -1_{'0' * limit} "):
+        code, out, err = run_cli(capsys, "stern", n)
+        assert (code, out) == (4, "")
+        assert err == f"n has more than {limit} digits, the limit of integer string conversion\n"
+    code, out, err = run_cli(capsys, "stern", "7" * (limit + 1) + "x")
+    assert (code, out) == (2, "") and err.startswith("not an integer: ")
 
 
 def test_occ_table(capsys):
@@ -306,9 +319,9 @@ def test_csv_unavailable(capsys):
     ["stern", "4194304", "--method", "all"],
     ["tree", "--fraction", "1/15000"],
 ], ids=lambda argv: argv[0])
-def test_csv_is_refused_before_the_handler_runs(capsys, monkeypatch, argv):
+def test_csv_is_refused_before_the_handler_runs(capsys, monkeypatch, cold_parser, argv):
     calls = []
-    monkeypatch.setitem(cli._HANDLERS, argv[0], lambda args: calls.append(args) or 0)
+    monkeypatch.setattr(cli, f"_cmd_{argv[0]}", lambda args: calls.append(args) or 0)
     code, out, err = run_cli(capsys, "--format", "csv", *argv)
     assert (code, out, calls) == (2, "", [])
     assert err == f"csv output is not available for '{argv[0]}'\n"
@@ -334,6 +347,19 @@ def test_json_roundtrips(capsys):
     payload = json.loads(out)
     assert payload["markers"] == "ba"
     assert payload["occurrences"][0] == {"marker": "b", "key": [2], "positions": [2]}
+
+    # the exact bytes of the commands that print one object
+    for argv, payload in [
+        (["closure", "abaa"], {"closure": "abaaba", "length": 6, "word": "abaa"}),
+        (["directive", "abaaba"], {"directive": "aba", "order": 3, "word": "abaaba"}),
+        (["tree", "abba"], {"nu": 23, "path": "abba", "raney": {"den": 7, "num": 5},
+                            "sternbrocot": {"den": 7, "num": 5}}),
+        (["tree", "--fraction", "4/7", "--flavor", "sternbrocot"],
+         {"nu": 21, "path": "abaa", "raney": {"den": 8, "num": 3},
+          "sternbrocot": {"den": 7, "num": 4}}),
+    ]:
+        result = run_cli(capsys, "--format", "json", *argv)
+        assert result == (0, json.dumps(payload, sort_keys=True) + "\n", ""), argv
 
 
 def test_determinism(capsys):
@@ -455,7 +481,7 @@ def outcome(argv):
 def fresh_outcomes(monkeypatch, argvs):
     """What each call gives when ``main`` builds a new parser for it."""
     with monkeypatch.context() as m:
-        m.setattr(cli, "_parser", cli.build_parser)
+        m.setattr(cli, "_parser", cli._parser.__wrapped__)
         return [outcome(argv) for argv in argvs]
 
 
@@ -467,22 +493,14 @@ def cold_parser():
     cli._parser.cache_clear()
 
 
-def test_main_builds_its_parser_once(monkeypatch, cold_parser):
-    build_parser = cli.build_parser
-    built = []
-
-    def counting_build_parser():
-        built.append(1)
-        return build_parser()
-
-    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+def test_main_builds_its_parser_once(cold_parser):
     assert outcome(["psi", "aba"])[0] == 0
-    assert len(built) == 1
+    assert cli._parser.cache_info().misses == 1
     for argv in (["stern", "23"], ["--format", "json", "dist", "5"], ["psi", "abc"], ["bogus"]):
         outcome(argv)
-    assert len(built) == 1
-    # the public builder still hands out a new parser on every call
-    assert build_parser() is not build_parser()
+    assert cli._parser.cache_info().misses == 1
+    # the builder under the cache still hands out a new parser on every call
+    assert cli._parser.__wrapped__() is not cli._parser.__wrapped__()
 
 
 # formats, alphabets, optional positionals and argparse's own errors in
@@ -521,7 +539,12 @@ def test_shared_parser_keeps_no_state_between_calls(monkeypatch, cold_parser):
 
 
 def test_shared_parser_help_matches_a_fresh_parser(monkeypatch, cold_parser):
-    argvs = [["--help"]] + [[command, "--help"] for command in cli._HANDLERS]
+    # the commands are those the usage line of --help offers, so a new one
+    # is covered as soon as it has a subparser
+    usage = outcome(["--help"])[1].split("\n\n", 1)[0]
+    commands = re.findall(r"\{([^}]*)\}", usage)[-1].split(",")
+    assert {"psi", "verify"} <= set(commands) and len(commands) >= 9
+    argvs = [["--help"]] + [[command, "--help"] for command in commands]
     shared = [outcome(argv) for argv in argvs]
     assert shared == fresh_outcomes(monkeypatch, argvs)
     assert all(code == 0 and out.startswith("usage: diatomic") and not err
