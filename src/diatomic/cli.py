@@ -4,7 +4,8 @@ Each subcommand runs one construction, recognizer or lookup, and
 ``verify`` replays the cross-route identity suite; the rest of the
 library (bound reports, per-length order counts, prefixes of infinite
 images, marked morphisms, subword counts) has no subcommand and is
-called from Python.  Exit codes are fixed so the tool can be scripted:
+called from Python.  A command refuses by raising; ``main`` alone prints
+the message and maps it to an exit code, fixed so the tool can be scripted:
 
     0  success
     1  stdout was closed by its reader before the output ended
@@ -34,7 +35,7 @@ import re
 import sys
 from functools import cache
 from itertools import repeat
-from typing import Any, Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import verify as verify_mod
 from .christoffel import (
@@ -43,7 +44,6 @@ from .christoffel import (
     lyndon_factorization,
 )
 from .distribution import histogram
-from .fracs import split_frac
 from .palindromes import pal_closure, period_pair, psi, psi_inverse
 from .stern import (
     MARKED_OCCURRENCE_CAP,
@@ -54,7 +54,7 @@ from .stern import (
     stern_via_zeta,
 )
 from .trees import path_of_fraction, tree_node
-from .words import BudgetError, check_word
+from .words import BudgetError
 
 EXIT_OK = 0
 EXIT_CLOSED_PIPE = 1
@@ -69,28 +69,45 @@ TEXT_ROW_LIMIT = 10**5
 
 _FROM_01 = str.maketrans("01", "ab")
 _TO_01 = str.maketrans("ab", "01")
+_INTEGER = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")
 
 
-class _ParseFailure(Exception):
-    pass
+class _Refusal(Exception):
+    """A command's refusal: ``main`` prints the message and exits with ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _parse_word(text: str, alphabet: str) -> str:
     if text in ("eps", ""):
         return ""
-    if alphabet == "01":
-        if text.strip("01"):
-            raise _ParseFailure(f"not a word over {{0,1}}: {text!r}")
-        text = text.translate(_FROM_01)
-    return _parsed(check_word, text)
+    if text.strip(alphabet):  # the alphabet's name is its two letters
+        raise _Refusal(EXIT_PARSE, f"not a word over {{{alphabet[0]},{alphabet[1]}}}: {text!r}")
+    return text.translate(_FROM_01) if alphabet == "01" else text
 
 
-def _parsed(parse: Callable[[str], Any], text: str) -> Any:
-    """``parse(text)``, its ValueError turned into a parse failure."""
+def _integers(texts: Sequence[str], name: str, malformed: str) -> list[int]:
+    """The integers spelled by ``texts``.  A malformed one is a parse refusal;
+    when all are well formed, one with more digits than Python converts is
+    a budget, named by ``name``."""
     try:
-        return parse(text)
-    except ValueError as exc:
-        raise _ParseFailure(str(exc)) from None
+        return [int(text) for text in texts]
+    except ValueError:
+        if all(map(_INTEGER.fullmatch, texts)):
+            raise BudgetError(
+                f"{name} has more than {sys.get_int_max_str_digits()} digits,"
+                " the limit of integer string conversion"
+            ) from None
+        raise _Refusal(EXIT_PARSE, malformed) from None
+
+
+def _fraction(text: str) -> tuple[int, ...]:
+    """Unreduced (p, q) of "p/q", or (p, 1) of a bare integer "p"."""
+    num_text, sep, den_text = text.partition("/")
+    texts = (num_text, den_text if sep else "1")
+    return tuple(_integers(texts, "a fraction part", f"not a fraction: {text!r}"))
 
 
 def _bound(text: str) -> int:
@@ -209,16 +226,14 @@ def _cmd_directive(args: argparse.Namespace) -> int:
     w = _parse_word(args.word, args.alphabet)
     v = psi_inverse(w)
     if v is None:
-        print(f"{args.word} is not a central word", file=sys.stderr)
-        return EXIT_NOT_IN_CLASS
+        raise _Refusal(EXIT_NOT_IN_CLASS, f"{args.word} is not a central word")
     line = f"{_render_word(v, args.alphabet)} (order {len(v)})"
     return _emit(args, [line], {"word": w, "directive": v, "order": len(v)})
 
 
 def _cmd_christoffel(args: argparse.Namespace) -> int:
     if args.slope is not None:
-        p, q = _parsed(split_frac, args.slope)
-        cw = christoffel_by_slope(p, q)
+        cw = christoffel_by_slope(*_fraction(args.slope))
     else:
         cw = christoffel_by_directive(_parse_word(args.directive, args.alphabet))
     lines = [
@@ -248,22 +263,13 @@ def _cmd_christoffel(args: argparse.Namespace) -> int:
         payload["factors"] = [w1.word, w2.word]
         payload["inverse_check"] = [inv1, inv2]
         if inv1 != 1 or inv2 != 1:
-            raise AssertionError("factor lengths are not modular inverses of the slope")
+            raise _Refusal(EXIT_DISAGREE, "factor lengths are not modular inverses of the slope")
     return _emit(args, lines, payload)
 
 
 def _cmd_stern(args: argparse.Namespace) -> int:
-    try:
-        n = int(args.n)
-    except ValueError:
-        # a well-formed integer that int refuses has more digits than
-        # Python converts; s(n) <= n, so any n it converts also prints
-        if re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", args.n):
-            raise BudgetError(
-                f"n has more than {sys.get_int_max_str_digits()} digits,"
-                " the limit of integer string conversion"
-            ) from None
-        raise _ParseFailure(f"not an integer: {args.n!r}") from None
+    # s(n) <= n, so any n that converts also prints
+    (n,) = _integers((args.n,), "n", f"not an integer: {args.n!r}")
     methods = {
         "recurrence": stern,
         "christoffel": stern_via_christoffel,
@@ -276,10 +282,7 @@ def _cmd_stern(args: argparse.Namespace) -> int:
     values = {name: fn(n) for name, fn in methods.items() if name != "zeta" or n >= 2}
     lines = [f"{name}: {value}" for name, value in values.items()]
     if len(set(values.values())) != 1:
-        for line in lines:
-            print(line, file=sys.stderr)
-        print("evaluators disagree", file=sys.stderr)
-        return EXIT_DISAGREE
+        raise _Refusal(EXIT_DISAGREE, "\n".join([*lines, "evaluators disagree"]))
     return _emit(args, lines, {"n": n, "values": values})
 
 
@@ -289,12 +292,9 @@ def _cmd_occ(args: argparse.Namespace) -> int:
     # marked_occurrences refuses first, with its own message
     count = sum(period_pair(w))
     if args.format == "text" and TEXT_ROW_LIMIT < count <= MARKED_OCCURRENCE_CAP:
-        print(
-            f"{count} rows exceed the text limit of {TEXT_ROW_LIMIT};"
-            " use --format json or csv",
-            file=sys.stderr,
+        raise BudgetError(
+            f"{count} rows exceed the text limit of {TEXT_ROW_LIMIT}; use --format json or csv"
         )
-        return EXIT_BUDGET
     markers, rows = marked_occurrences(w)
     if args.format == "json":
         # each row is written as it is made, in the bytes of
@@ -321,11 +321,9 @@ def _cmd_occ(args: argparse.Namespace) -> int:
 
 def _cmd_tree(args: argparse.Namespace) -> int:
     if (args.path is None) == (args.fraction is None):
-        print("give exactly one of a path word or --fraction", file=sys.stderr)
-        return EXIT_PARSE
+        raise _Refusal(EXIT_PARSE, "give exactly one of a path word or --fraction")
     if args.fraction is not None:
-        p, q = _parsed(split_frac, args.fraction)
-        path = path_of_fraction((p, q), args.flavor)
+        path = path_of_fraction(_fraction(args.fraction), args.flavor)
     else:
         path = _parse_word(args.path, args.alphabet)
     node = tree_node(path)
@@ -414,23 +412,15 @@ def _attach_fraction_values(argv: Sequence[str]) -> list[str]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(_attach_fraction_values(sys.argv[1:] if argv is None else argv))
-    if args.format == "csv" and args.csv_header is None:
-        print(f"csv output is not available for '{args.command}'", file=sys.stderr)
-        return EXIT_PARSE
     try:
+        if args.format == "csv" and args.csv_header is None:
+            raise _Refusal(EXIT_PARSE, f"csv output is not available for '{args.command}'")
         return args.run(args)
-    except _ParseFailure as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
-    except BudgetError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PRECONDITION
-    except AssertionError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DISAGREE
+    except (_Refusal, BudgetError, ValueError) as exc:
+        print(exc, file=sys.stderr)
+        if isinstance(exc, _Refusal):
+            return exc.code
+        return EXIT_BUDGET if isinstance(exc, BudgetError) else EXIT_PRECONDITION
 
 
 def entry() -> None:

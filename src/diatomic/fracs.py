@@ -37,12 +37,3 @@ def frac(num: int, den: int) -> Frac:
         num, den = -num, -den
     g = math.gcd(num, den)
     return Frac(num // g, den // g)
-
-
-def split_frac(text: str) -> tuple[int, int]:
-    """Unreduced (p, q) of "p/q", or (p, 1) of a bare integer "p"."""
-    num_text, sep, den_text = text.partition("/")
-    try:
-        return int(num_text), int(den_text if sep else "1")
-    except ValueError:
-        raise ValueError(f"not a fraction: {text!r}") from None

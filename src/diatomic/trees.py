@@ -15,10 +15,11 @@ from itertools import cycle
 from math import gcd
 from typing import NamedTuple
 
+from . import palindromes
 from .continuants import cf_terms
 from .fracs import Frac
 from .palindromes import period_pair
-from .words import decode, encode
+from .words import BudgetError, decode, encode
 
 
 class TreeNode(NamedTuple):
@@ -84,7 +85,8 @@ def path_of_fraction(f: Frac | tuple[int, int], flavor: str = "raney") -> str:
     Runs the child rules backwards: from p/q the parent is p/(q-p) or
     (p-q)/q, and a run of identical moves is one continued-fraction
     term of f, so the cost is the number of terms rather than the tree
-    depth.
+    depth.  A path longer than ``PSI_LENGTH_BUDGET`` letters raises
+    :class:`BudgetError` before any letter is written.
     """
     if flavor not in ("raney", "sternbrocot"):
         raise ValueError(f"unknown tree flavor: {flavor!r}")
@@ -97,6 +99,9 @@ def path_of_fraction(f: Frac | tuple[int, int], flavor: str = "raney") -> str:
     # steps p/(q-p), and so on, ending at 1/1 one step early
     terms = cf_terms(p, q)
     terms[-1] -= 1
+    budget = palindromes.PSI_LENGTH_BUDGET
+    if sum(terms) > budget:
+        raise BudgetError(f"tree path exceeds the budget of {budget} letters")
     up = "".join(x * c for x, c in zip(cycle("ba"), terms))
     # climbing visits the letters leaf-to-root: that order is the
     # Stern-Brocot path, its reversal the Raney path

@@ -38,7 +38,7 @@ from .christoffel import (
     christoffel_of_word,
     lyndon_factorization,
 )
-from .continuants import christoffel_length_cf, fib, mirror_formula
+from .continuants import christoffel_length_cf, continuant, fib, mirror_formula
 from .distribution import (
     bound_report_histogram,
     counts_for_length,
@@ -69,10 +69,11 @@ from .stern import (
     stern_via_christoffel,
     stern_via_integral_continuant,
     stern_via_subwords,
+    zeta,
     zeta_sterns,
 )
 from .trees import nu, path_of_fraction, ra_of, raney, stern_brocot
-from .words import complement, encode, is_constant, is_lyndon, min_period
+from .words import complement, encode, integral_rep, is_constant, is_lyndon, min_period, word_of
 
 STERN_PREFIX = (
     0, 1, 1, 2, 1, 3, 2, 3, 1, 4, 3, 5, 2, 5, 3, 4,
@@ -166,13 +167,19 @@ def check_stern_prefix(_k: int, _n: int):
 # the one integer range past 2^14: its clamp sets the suite's ceiling
 @_check("stern-evaluator-agreement", n=2**16)
 def check_stern_evaluators(_k: int, limit: int):
-    zeta_limit = min(limit, 2048)
+    zeta_limit, short = min(limit, 2048), min(limit, 128)
     failures = itertools.chain(
         (n for n in range(limit + 1)
          if not stern(n) == stern_via_christoffel(n) == stern_via_subwords(n)),
         (n for n, value in enumerate(zeta_sterns(zeta_limit), start=2) if stern(n) != value),
+        # the same continuant over the zeta function, not over its inline values
+        (("zeta", n) for n in range(2, short + 1)
+         if (-1) ** ((n - 1) // 2) * continuant(map(zeta, range(1, n))) != stern(n)),
     )
-    detail = f"recurrence = words = subwords on 0..{limit}, = continuant on 2..{zeta_limit}"
+    detail = (
+        f"recurrence = words = subwords on 0..{limit}, = continuant on 2..{zeta_limit},"
+        f" = continuant of zeta on 2..{short}"
+    )
     return detail, failures
 
 
@@ -371,8 +378,13 @@ def check_stern_identities(top: int, limit: int):
 
 @_check("integral-continuant-stern", k=12)
 def check_integral_continuant(k: int, _n: int):
-    failures = (w for w in _words_up_to(k) if stern_via_integral_continuant(w) != stern(nu(w)))
-    return f"s(nu(w)) continuant for |w| <= {k}", failures
+    short = min(k, 10)
+    failures = itertools.chain(
+        (w for w in _words_up_to(k) if stern_via_integral_continuant(w) != stern(nu(w))),
+        (("word_of", w) for w in _words_up_to(short) if word_of(integral_rep(w)) != w),
+    )
+    detail = f"s(nu(w)) continuant for |w| <= {k}, word_of inverts integral_rep for |w| <= {short}"
+    return detail, failures
 
 
 #: Lengths up to which ``totient-identity`` compares each order's counts.

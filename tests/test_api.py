@@ -72,8 +72,6 @@ UNVERIFIED = {
     "stern_via_zeta": "src/diatomic/cli.py",
     "subword_binomial": "README.md",
     "tree_node": "src/diatomic/cli.py",
-    "word_of": "README.md",
-    "zeta": "README.md",
 }
 
 

@@ -12,7 +12,7 @@ from diatomic import cli
 from diatomic.cli import main
 from diatomic.distribution import MAX_ENUMERATED_ORDER
 from diatomic.palindromes import PSI_LENGTH_BUDGET
-from diatomic.stern import MARKED_OCCURRENCE_CAP, ZETA_ARGUMENT_CAP, marked_occurrences
+from diatomic.stern import MARKED_OCCURRENCE_CAP, ZETA_ARGUMENT_CAP, marked_occurrences, stern
 
 
 def run_cli(capsys, *argv):
@@ -56,12 +56,6 @@ def test_parse_error(capsys):
     assert code == 2 and err
 
 
-def test_fraction_without_denominator(capsys):
-    for argv in (("christoffel", "--slope", "3/"), ("tree", "--fraction", "3/")):
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out, err) == (2, "", "not a fraction: '3/'\n")
-
-
 def test_alphabet_01(capsys):
     code, out, _ = run_cli(capsys, "--alphabet", "01", "psi", "010")
     assert code == 0
@@ -101,6 +95,15 @@ def test_christoffel_slope_budget(capsys):
         assert time.perf_counter() - start < 1
 
 
+def test_christoffel_inverse_check_failure(capsys, monkeypatch):
+    # factors swapped: 8 * 4 = 10 (mod 11), so the lengths are not inverses
+    original = cli.lyndon_factorization
+    monkeypatch.setattr(cli, "lyndon_factorization", lambda cw: original(cw)[::-1])
+    code, out, err = run_cli(capsys, "christoffel", "--slope", "4/7")
+    assert (code, out) == (6, "")
+    assert err == "factor lengths are not modular inverses of the slope\n"
+
+
 def test_christoffel_single_letter(capsys):
     code, out, _ = run_cli(capsys, "christoffel", "--slope", "0/1")
     assert code == 0
@@ -116,6 +119,14 @@ def test_stern_all(capsys):
     code, out, _ = run_cli(capsys, "stern", "23", "--method", "all")
     assert code == 0
     assert out.count(": 7") == 4
+
+
+def test_stern_all_disagreement(capsys, monkeypatch):
+    # one evaluator wrong: stdout stays empty, stderr lists every value
+    monkeypatch.setattr(cli, "stern_via_subwords", lambda n: stern(n) + 1)
+    code, out, err = run_cli(capsys, "stern", "23", "--method", "all")
+    assert (code, out) == (6, "")
+    assert err == "recurrence: 7\nchristoffel: 7\nsubwords: 8\nzeta: 7\nevaluators disagree\n"
 
 
 def test_stern_huge_power_of_two(capsys):
@@ -248,6 +259,54 @@ def test_budget_refusal_names_only_the_bound(capsys, argv, bound):
     assert time.perf_counter() - start < 0.1
     assert (code, out) == (4, "")
     assert str(bound) in err and len(err) < 200
+
+
+LIMIT = sys.get_int_max_str_digits()
+PAST_LIMIT = "1" * 4400
+DIGIT_LIMIT = f"more than {LIMIT} digits"
+TREE_BUDGET = f"tree path exceeds the budget of {PSI_LENGTH_BUDGET} letters\n"
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["stern", PAST_LIMIT], 4, f"n has {DIGIT_LIMIT}"),
+    (["christoffel", "--slope", f"1/{PAST_LIMIT}"], 4, f"a fraction part has {DIGIT_LIMIT}"),
+    (["christoffel", "--slope", f"{PAST_LIMIT}/1"], 4, f"a fraction part has {DIGIT_LIMIT}"),
+    (["tree", "--fraction", f"1/{PAST_LIMIT}"], 4, f"a fraction part has {DIGIT_LIMIT}"),
+    (["tree", "--fraction", f"{PAST_LIMIT}/1"], 4, f"a fraction part has {DIGIT_LIMIT}"),
+    # a malformed part is a parse error, whatever the other part's size
+    (["tree", "--fraction", f"{PAST_LIMIT}/x"], 2, f"not a fraction: '{PAST_LIMIT}/x'"),
+    # paths past the budget are refused before any letter is written
+    (["tree", "--fraction", "1/1000000000000"], 4, TREE_BUDGET),
+    (["tree", "--fraction", "1000000000000/1"], 4, TREE_BUDGET),
+    (["tree", "--fraction", f"1/{'2' * LIMIT}"], 4, TREE_BUDGET),
+    # a path within the budget whose node number has too many digits to print
+    (["tree", "--fraction", "1/15000"], 5, "Exceeds the limit"),
+    (["tree", "--fraction", "4/7"], 0, ""),
+    (["tree", "--fraction", "x/y"], 2, "not a fraction: 'x/y'"),
+    (["tree", "--fraction", "3/"], 2, "not a fraction: '3/'\n"),
+    (["christoffel", "--slope", "3/"], 2, "not a fraction: '3/'\n"),
+], ids=[
+    "stern-digits", "slope-den-digits", "slope-num-digits", "fraction-den-digits",
+    "fraction-num-digits", "fraction-malformed-and-long", "tree-long-den", "tree-long-num",
+    "tree-den-at-the-digit-limit", "tree-nu-unprintable", "fraction", "not-digits",
+    "no-denominator", "slope-no-denominator",
+])
+def test_hostile_argv(capsys, argv, code, err):
+    start = time.perf_counter()
+    result = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert result[0] == code and err in result[2] and "Traceback" not in result[2]
+    if code:
+        assert result[1] == ""
+    if code == 4:
+        assert len(result[2]) < 200
+    if DIGIT_LIMIT in err:
+        assert str(LIMIT) in result[2]
+
+
+def test_tree_fraction_reads_a_bare_integer_as_p_over_1(capsys):
+    bare, full = (run_cli(capsys, "tree", "--fraction", f) for f in ("5", "5/1"))
+    assert bare == full and bare[0] == 0
 
 
 def test_occ_text_limit_refuses_before_enumerating(capsys, monkeypatch):

@@ -3,9 +3,11 @@ from math import gcd
 import pytest
 
 from conftest import words_up_to
-from diatomic.fracs import Frac, frac, split_frac
+from diatomic import palindromes
+from diatomic.fracs import Frac, frac
 from diatomic.palindromes import period_pair, psi
 from diatomic.stern import stern
+from diatomic.words import BudgetError
 from diatomic.trees import (
     TreeNode,
     nu,
@@ -136,6 +138,19 @@ def test_path_of_fraction_examples():
         path_of_fraction(Frac(1, 2), "mediant")
 
 
+def test_path_budget_is_checked_before_the_path_is_built(monkeypatch):
+    # 55/89 = [0; 1, 1, 1, 1, 1, 1, 1, 1, 2], a path of 9 letters
+    monkeypatch.setattr(palindromes, "PSI_LENGTH_BUDGET", 9)
+    assert len(path_of_fraction((55, 89))) == 9
+    assert path_of_fraction((1, 10)) == "a" * 9
+    for f in ((89, 144), (1, 11), (11, 1)):
+        with pytest.raises(BudgetError, match="tree path exceeds the budget of 9 letters"):
+            path_of_fraction(f, "sternbrocot")
+    monkeypatch.undo()
+    with pytest.raises(BudgetError):
+        path_of_fraction((1, 10**12))
+
+
 def test_path_roundtrips():
     for w in words_up_to(12):
         assert path_of_fraction(raney(w), "raney") == w
@@ -152,12 +167,5 @@ def test_frac_helpers():
     assert str(Frac(4, 7)) == "4/7"
     assert frac(6, 4) == Frac(3, 2)
     assert frac(3, -2) == Frac(-3, 2)
-    assert split_frac("4/7") == (4, 7)
-    assert split_frac("6/4") == (6, 4)
-    assert split_frac("5") == (5, 1)
     with pytest.raises(ValueError):
         frac(0, 0)
-    with pytest.raises(ValueError):
-        split_frac("x/y")
-    with pytest.raises(ValueError, match="not a fraction: '3/'"):
-        split_frac("3/")

@@ -103,6 +103,9 @@ SWAP_LETTERS = str.maketrans("ab", "ba")
 #: there, and the case the FAIL names.
 PLANTED = {
     "stern-prefix-values": (verify.check_stern_prefix, (0, 0), "stern", 20, lambda s: s + 1, "20"),
+    # zeta(5) = 1 read as 2: the continuant over zeta(1..5) is s(6) + s(5)
+    "stern-evaluator-agreement:zeta": (
+        verify.check_stern_evaluators, (0, 64), "zeta", 5, lambda z: z + 1, "('zeta', 6)"),
     "odd-length-even-period": (
         verify.check_odd_even_correspondence, (6, 0), "period_pair", "ab",
         lambda pair: (pair[0] + 1, pair[1]), "'ab'"),
@@ -146,6 +149,10 @@ PLANTED = {
     "continuant-length-period": (
         verify.check_continuant_length, (6, 0), "christoffel_length_cf", "abb",
         lambda pair: (pair[0] + 1, pair[1]), "'abb'"),
+    # (0, 1, 1, 1, 0) spelled "abab" instead of "aba"
+    "integral-continuant-stern:word_of": (
+        verify.check_integral_continuant, (6, 0), "word_of", (0, 1, 1, 1, 0),
+        lambda w: w + "b", "('word_of', 'aba')"),
     # one word of order 5 counted twice: the mass is 2^5 + 1
     "histogram-invariants": (
         verify.check_histograms, (8, 0), "histogram", 5,
@@ -217,6 +224,15 @@ def test_details_name_every_range_they_run():
         "stern-identities", True,
         "bit reversal, symmetry, quotient steps for n <= 4096,"
         " symmetry k <= 12, zigzag 3 <= k <= 13",
+    )
+    assert verify.check_stern_evaluators(0, 100) == verify.CheckResult(
+        "stern-evaluator-agreement", True,
+        "recurrence = words = subwords on 0..100, = continuant on 2..100,"
+        " = continuant of zeta on 2..100",
+    )
+    assert verify.check_integral_continuant(12, 0) == verify.CheckResult(
+        "integral-continuant-stern", True,
+        "s(nu(w)) continuant for |w| <= 12, word_of inverts integral_rep for |w| <= 10",
     )
 
 
