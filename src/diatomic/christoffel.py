@@ -11,18 +11,16 @@ central words, :func:`christoffel_of_word` and :func:`is_standard`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .fracs import Frac
 from . import palindromes
-from .palindromes import framed_psi, period_pair, psi_inverse
+from .palindromes import framed_psi, psi_inverse
 from .trees import stern_brocot
 
 
-@dataclass(frozen=True)
-class ChristoffelWord:
+class ChristoffelWord(NamedTuple):
     """A Christoffel word together with its slope and directive.
 
     The single letters a and b (slopes 0/1 and 1/0) are the improper
@@ -151,7 +149,8 @@ def lyndon_factorization(cw: ChristoffelWord) -> tuple[ChristoffelWord, Christof
     by letter and no Lyndon suffix search is needed (a search-based
     oracle lives in the tests):
 
-    - the split point is |w1| = p_a(directive);
+    - the split point is |w1| = p_a(directive), the inverse of p modulo
+      p + q for the slope p/q (Borel and Laubie): one ``pow`` call;
     - w1 and w2 label the word's two Farey parents in the Christoffel
       tree.  A step to the left (a) makes the current node the right
       parent and a step to the right (b) makes it the left one, so w1 is
@@ -164,8 +163,8 @@ def lyndon_factorization(cw: ChristoffelWord) -> tuple[ChristoffelWord, Christof
     if not cw.proper:
         raise ValueError(f"single-letter Christoffel word {cw.word} has no factorization")
     v = cw.directive
-    pa, _ = period_pair(v)
     p, q = cw.slope
+    pa = pow(p, -1, p + q)
     b = pa * p // (p + q)
     last_b, last_a = v.rfind("b"), v.rfind("a")
     left = ChristoffelWord(cw.word[:pa], Frac(b, pa - b), v[:last_b] if last_b >= 0 else None)

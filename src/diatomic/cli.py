@@ -347,13 +347,14 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     h = histogram(args.k)
     if args.format == "csv":
         return _emit(args, [], {}, zip(repeat(h.order), h.counts, h.counts.values()))
+    missing = h.missing
     if args.format == "json":
         payload = {
             "k": h.order,
             "M_k": h.max_count,
             "argmax": h.argmax,
-            "missing": h.missing,
-            "missing_count": len(h.missing),
+            "missing": missing,
+            "missing_count": len(missing),
         }
         return _emit(args, [], payload)
     lines = [
@@ -362,8 +363,8 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         f"total length: {h.weighted_mass}",
         f"max count: {h.max_count}",
         f"argmax: {' '.join(map(str, h.argmax))}",
-        f"missing: {' '.join(map(str, h.missing)) or '-'}",
-        f"missing count: {len(h.missing)}",
+        f"missing: {' '.join(map(str, missing)) or '-'}",
+        f"missing count: {len(missing)}",
         "histogram:",
     ]
     lines += [f"  {n} {c}" for n, c in h.counts.items()]

@@ -56,12 +56,11 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter
-from dataclasses import astuple, dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import count
 from math import gcd
 from operator import add
+from typing import NamedTuple
 
 from .continuants import cf_terms, fib
 from .palindromes import period_pair
@@ -84,10 +83,9 @@ _LANE = array("I").itemsize
 _LANE_ORDER = next(k for k in count() if fib(k + 2) >> (8 * _LANE))
 
 
-@dataclass(frozen=True)
-class LengthHistogram:
-    """Counts C_k(n) of order-``order`` Christoffel words of length n, and
-    the figures read from them, each computed on its first read.
+class LengthHistogram(NamedTuple):
+    """Counts C_k(n) of order-``order`` Christoffel words of length n, by
+    increasing n, and the figures read from them, each computed when read.
     """
 
     order: int
@@ -103,22 +101,22 @@ class LengthHistogram:
         """Sum of all lengths; equals 2 * 3^order."""
         return sum(n * c for n, c in self.counts.items())
 
-    @cached_property
+    @property
     def support(self) -> list[int]:
-        return sorted(self.counts)
+        return list(self.counts)
 
-    @cached_property
+    @property
     def max_count(self) -> int:
         """M_k, the largest count C_k(n)."""
         return max(self.counts.values())
 
-    @cached_property
+    @property
     def argmax(self) -> list[int]:
         """The lengths n with C_k(n) = M_k, sorted."""
         top = self.max_count
-        return [n for n in self.support if self.counts[n] == top]
+        return [n for n, c in self.counts.items() if c == top]
 
-    @cached_property
+    @property
     def missing(self) -> list[int]:
         """The lengths in [k + 2, F(k+1)] that no order-k word has."""
         return [n for n in range(self.order + 2, fib(self.order + 1) + 1) if n not in self.counts]
@@ -282,8 +280,7 @@ def counts_for_length(n: int) -> dict[int, int]:
     return dict(sorted(counts.items()))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of the exhaustive order-k length bound checks."""
 
     order: int
@@ -298,7 +295,7 @@ class BoundReport:
 
     @property
     def passed(self) -> bool:
-        return all(astuple(self)[1:])  # every field after the order is a predicate
+        return all(self[1:])  # every field after the order is a predicate
 
 
 def bound_report_histogram(h: LengthHistogram) -> BoundReport:
@@ -313,7 +310,7 @@ def bound_report_histogram(h: LengthHistogram) -> BoundReport:
     the counts and the lengths of these at most 12 words settle every
     predicate.
     """
-    k, counts = h.order, h.counts
+    k, counts, support = h.order, h.counts, h.support
     if k < 3:
         raise ValueError("bound checks need order k >= 3")
     lo, floor, top = k + 2, 2 * k + 1, fib(k + 1)
@@ -330,11 +327,11 @@ def bound_report_histogram(h: LengthHistogram) -> BoundReport:
 
     return BoundReport(
         k,
-        h.support[0] >= lo and exactly(lo, constants),
+        support[0] >= lo and exactly(lo, constants),
         sum(c for n, c in counts.items() if n < floor)
         == sum(1 for v in constants if length[v] < floor),
         exactly(floor, floor_class),
-        h.support[-1] <= top and exactly(top, alternating_pair),
+        support[-1] <= top and exactly(top, alternating_pair),
         sum(c for n, c in counts.items() if n > ceiling)
         == sum(1 for v in alternating_pair if length[v] > ceiling),
         exactly(ceiling, ceiling_class),

@@ -17,7 +17,6 @@ lengths.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .continuants import continuant
@@ -204,8 +203,7 @@ def delta_expansion(n: int) -> DeltaExpansion:
     return DeltaExpansion(level, deltas, terms)
 
 
-@dataclass(frozen=True)
-class FactorDecomposition:
+class FactorDecomposition(NamedTuple):
     """Christoffel length split over factors of b w b.
 
     ``base`` counts the letters b in the host; each factor that starts

@@ -36,7 +36,9 @@ from .christoffel import (
     christoffel_by_directive,
     christoffel_by_slope,
     christoffel_of_word,
+    is_standard,
     lyndon_factorization,
+    standard_by_coefficients,
 )
 from .continuants import christoffel_length_cf, continuant, fib, mirror_formula
 from .distribution import (
@@ -229,6 +231,14 @@ def check_directive_roundtrip(k: int, limit: int):
         christoffel_by_slope(p, m - p).word
         for m in range(2, short + 1) for p in range(1, m) if gcd(p, m - p) == 1
     }
+    # standard sequences (c_1 >= 0, c_n >= 1), one coefficient more while the last word fits
+    standard, prefixes = set(), [()]
+    while prefixes:
+        c = prefixes.pop()
+        last = standard_by_coefficients(c, len(c) + 2)[-1]
+        if len(last) <= short:
+            standard.add(last)
+            prefixes += [(*c, x) for x in range(1 if c else 0, short + 1)]
     failures = itertools.chain(
         (("psi", v) for v, w in image.items() if psi_inverse(w) != v),
         (("central", w) for w in _words_up_to(short) if psi_inverse(w) != directive.get(w)),
@@ -236,6 +246,7 @@ def check_directive_roundtrip(k: int, limit: int):
             ("christoffel", w) for w in _words_up_to(short)
             if (christoffel_of_word(w) is not None) != (w in christoffel)
         ),
+        (("standard", w) for w in _words_up_to(short) if is_standard(w) != (w in standard)),
         (
             ("slope", p, q) for p in range(1, limit + 1)
             for q in range(1, limit + 1 - p)
@@ -248,7 +259,7 @@ def check_directive_roundtrip(k: int, limit: int):
     )
     detail = (
         f"psi and slope inversions, |v| <= {k}, p+q <= {limit},"
-        f" central and Christoffel words recognized for |w| <= {short}"
+        f" central, Christoffel and standard words recognized for |w| <= {short}"
     )
     return detail, failures
 
@@ -268,11 +279,12 @@ def check_factorization(k: int, _n: int):
             or not w1.word < w2.word
             or (len(w1.word) * p) % n != 1
             or (len(w2.word) * q) % n != 1
+            or len(w1.word) != period_pair(v)[0]
             or (len(v) <= short and not is_lyndon(cw.word))
         )
 
     detail = (
-        f"slope route = directive route, split, order, modular inverses for |v| <= {k},"
+        f"slope route = directive route, split at p_a(v), order, modular inverses for |v| <= {k},"
         f" Lyndon words for |v| <= {short}"
     )
     return detail, filter(fails, _words_up_to(k))
@@ -409,8 +421,9 @@ class _OrderFigures(NamedTuple):
 @cache
 def _order(k: int) -> _OrderFigures:
     h = histogram(k)
+    support = h.support
     return _OrderFigures(
-        h.mass, h.weighted_mass, h.support[0], h.support[-1],
+        h.mass, h.weighted_mass, support[0], support[-1],
         h.max_count, frozenset(h.argmax), len(h.missing),
         k < 3 or bound_report_histogram(h).passed,
         {n: c for n, c in h.counts.items() if n <= _SHORT_LENGTHS},

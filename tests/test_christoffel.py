@@ -157,7 +157,6 @@ def test_descent_is_independent_of_the_directive_routes(monkeypatch):
         (palindromes, "psi"),
         (palindromes, "framed_psi"),
         (palindromes, "period_pair"),
-        (christoffel, "period_pair"),
         (christoffel, "framed_psi"),
         (continuants, "cf_terms"),
         (trees, "stern_brocot"),

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -492,6 +493,20 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "7\n"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # every record is a NamedTuple, so a cold start pays for neither
+    # module; -S keeps site hooks (.pth files) from importing their own
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import diatomic.cli;"
+        " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -294,7 +294,7 @@ def test_bound_report_reads_each_predicate_from_the_counts():
     assert bound_report_histogram(histogram(6)).passed
 
     def failed(edited):
-        report = vars(bound_report_histogram(LengthHistogram(6, edited)))
+        report = bound_report_histogram(LengthHistogram(6, edited))._asdict()
         return [name for name, ok in report.items() if ok is False]
 
     assert failed(moved(counts, 8, 9)) == ["least_length_ok"]  # a constant one longer

@@ -1,6 +1,5 @@
 import time
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -39,7 +38,7 @@ def test_directive_roundtrip_catches_a_wrong_slope_word(monkeypatch):
     original = verify.christoffel_by_slope
     for swapped in (
         lambda p, q: original(q, p),
-        lambda p, q: replace(original(q, p), slope=Frac(p, q)),
+        lambda p, q: original(q, p)._replace(slope=Frac(p, q)),
     ):
         monkeypatch.setattr(verify, "christoffel_by_slope", swapped)
         result = verify.check_directive_roundtrip(0, 20)
@@ -56,7 +55,7 @@ def test_directive_roundtrip_catches_a_wrong_word_with_the_right_directive(monke
     ):
         def swapped(p, q, swap=swap):
             cw = original(p, q)
-            return replace(cw, word=swap(cw.word))
+            return cw._replace(word=swap(cw.word))
 
         monkeypatch.setattr(verify, "christoffel_by_slope", swapped)
         result = verify.check_directive_roundtrip(0, 20)
@@ -86,7 +85,7 @@ def test_failures_name_their_first_case(monkeypatch, fresh_orders):
     monkeypatch.setattr(
         verify,
         "bound_report_histogram",
-        lambda h: replace(original_report(h), least_length_ok=h.order != 5),
+        lambda h: original_report(h)._replace(least_length_ok=h.order != 5),
     )
     result = verify.check_bounds(8, 0)
     assert not result.ok and result.detail.endswith("; first failure: 5")
@@ -125,10 +124,22 @@ PLANTED = {
     "directive-roundtrips:christoffel": (
         verify.check_directive_roundtrip, (6, 0), "christoffel_of_word", "bab",
         lambda _: ChristoffelWord("bab", Frac(2, 1), "a"), "('christoffel', 'bab')"),
+    # "ab" rejected as a standard word
+    "directive-roundtrips:standard": (
+        verify.check_directive_roundtrip, (6, 0), "is_standard", "ab",
+        lambda ok: not ok, "('standard', 'ab')"),
+    # the sequence b, a, ab, aba built with its last word bab
+    "directive-roundtrips:standard_by_coefficients": (
+        verify.check_directive_roundtrip, (6, 0), "standard_by_coefficients", (1, 1),
+        lambda seq: [*seq[:-1], seq[-1].translate(SWAP_LETTERS)], "('standard', 'aba')"),
     # the directive route's word of "ab" with its letters swapped
     "lyndon-factorization": (
         verify.check_factorization, (6, 0), "christoffel_by_directive", "ab",
-        lambda cw: replace(cw, word=cw.word.translate(SWAP_LETTERS)), "'ab'"),
+        lambda cw: cw._replace(word=cw.word.translate(SWAP_LETTERS)), "'ab'"),
+    # p_a("ab") = 3 read as 4: the word of slope 2/3 splits at 2^-1 mod 5 = 3
+    "lyndon-factorization:split": (
+        verify.check_factorization, (6, 0), "period_pair", "ab",
+        lambda pair: (pair[0] + 1, pair[1]), "'ab'"),
     # the word of directive "a", "aab", not taken for a Lyndon word
     "lyndon-factorization:lyndon": (
         verify.check_factorization, (6, 0), "is_lyndon", "aab", lambda ok: not ok, "'a'"),
@@ -137,7 +148,7 @@ PLANTED = {
         lambda table: (table[0].translate(SWAP_LETTERS), table[1]), "'abb'"),
     "weighted-factor-decomposition": (
         verify.check_factor_decomposition, (6, 64), "factor_decomposition", "bab",
-        lambda d: replace(d, base=d.base + 1), "('factors', 'bab')"),
+        lambda d: d._replace(base=d.base + 1), "('factors', 'bab')"),
     "tree-duality": (
         verify.check_tree_duality, (6, 0), "stern_brocot", "ab",
         lambda label: label.inverse, "'ab'"),
@@ -156,11 +167,11 @@ PLANTED = {
     # one word of order 5 counted twice: the mass is 2^5 + 1
     "histogram-invariants": (
         verify.check_histograms, (8, 0), "histogram", 5,
-        lambda h: replace(h, counts={**h.counts, 99: 1}), "5"),
+        lambda h: h._replace(counts={**h.counts, 99: 1}), "5"),
     # the count at the published argmax of order 7, 41, one too high
     "published-table-pins": (
         verify.check_tables, (8, 0), "histogram", 7,
-        lambda h: replace(h, counts={**h.counts, 41: h.counts[41] + 1}), "7"),
+        lambda h: h._replace(counts={**h.counts, 41: h.counts[41] + 1}), "7"),
 }
 
 
