@@ -244,7 +244,7 @@ def _cmd_christoffel(args: argparse.Namespace) -> int:
     ]
     payload: dict = {
         "word": cw.word,
-        "slope": {"num": cw.slope.num, "den": cw.slope.den},
+        "slope": cw.slope._asdict(),
         "order": cw.order,
         "directive": cw.directive,
     }
@@ -336,8 +336,8 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     payload = {
         "path": node.path,
         "nu": node.number,
-        "raney": {"num": node.raney.num, "den": node.raney.den},
-        "sternbrocot": {"num": node.sternbrocot.num, "den": node.sternbrocot.den},
+        "raney": node.raney._asdict(),
+        "sternbrocot": node.sternbrocot._asdict(),
     }
     return _emit(args, lines, payload)
 

@@ -38,9 +38,9 @@ complement half alone.
 ``histogram`` packs the level's a-periods and its b-periods into one
 integer each, one lane of ``_LANE`` bytes per entry, so the lengths of
 a whole row are the lanes of one integer product and cost no Python
-step each.  Every lane holds the length of an order-k word, at most
-F(k+1), so no lane carries while F(k+1) fits one; orders past that lane
-bound are refused.  The lengths reach ``Counter.update`` in batches.
+step each, the row ends included.  No lane carries while F(k+1), the
+longest order-k length, fits one; one refusal covers that lane bound and
+``MAX_ENUMERATED_ORDER``.  The lengths reach ``Counter.update`` in batches.
 
 A ``LengthHistogram`` is the one record of an order: its counts C_k(n),
 their mass, and the order statistics read from them, the maximal
@@ -121,14 +121,11 @@ class LengthHistogram(NamedTuple):
         """The lengths in [k + 2, F(k+1)] that no order-k word has."""
         return [n for n in range(self.order + 2, fib(self.order + 1) + 1) if n not in self.counts]
 
-
-def _check_order(k: int) -> None:
-    if k < 0:
-        raise ValueError("order must be non-negative")
-    if k > MAX_ENUMERATED_ORDER:
-        raise BudgetError(
-            f"order k enumerates 2^k directives; k exceeds the bound of {MAX_ENUMERATED_ORDER}"
-        )
+    @property
+    def missing_count(self) -> int:
+        """The number of ``missing`` lengths, counted without listing them."""
+        lo, top = self.order + 2, fib(self.order + 1)
+        return top - lo + 1 - sum(1 for n in self.counts if lo <= n <= top)
 
 
 def _descendants(m: int) -> tuple[list[int], list[int]]:
@@ -159,25 +156,24 @@ def histogram(k: int) -> LengthHistogram:
     Class sweep (see the module docstring) over the level of the
     m + (k mod 2) letters after x, m = k // 2: the row of x is its
     entries s * index(x) <= t < s * (2^m - index(x)), s = 1 + k mod 2.
-    Each length in a row counts four words.  The s entries at either
+    Each length in a row counts four words, but the s entries at either
     end, x w reverse(complement(x)) and the palindromes x w reverse(x),
-    count two, and their lengths have closed forms in the period pair
-    of x.  The lengths of a row are the lanes [lo, n - lo) of one
-    integer product pa * X + pb * Y, where X and Y pack the level's
-    a-periods and b-periods one ``_LANE``-byte lane per entry.  An order
-    past ``_LANE_ORDER``, whose longest words would carry into the next
-    lane, raises :class:`BudgetError` up front.  Row lengths reach
-    ``Counter.update`` in batches of at least ``_BATCH``.
+    count two.  The lengths of a row, its ends included, are the lanes
+    [lo, n - lo) of one integer product pa * X + pb * Y, where X and Y
+    pack the level's a-periods and b-periods one ``_LANE``-byte lane per
+    entry.  An order past ``MAX_ENUMERATED_ORDER`` or ``_LANE_ORDER``,
+    whose longest words would carry into the next lane, raises
+    :class:`BudgetError` up front.  Row lengths reach ``Counter.update``
+    in batches of at least ``_BATCH``.
 
     >>> histogram(3).counts
     {5: 2, 7: 4, 8: 2}
     """
-    _check_order(k)
-    if k > _LANE_ORDER:
-        raise BudgetError(
-            f"order k has lengths past a {8 * _LANE}-bit lane; "
-            f"MAX_ENUMERATED_ORDER exceeds the lane bound"
-        )
+    if k < 0:
+        raise ValueError("order must be non-negative")
+    bound = min(MAX_ENUMERATED_ORDER, _LANE_ORDER)
+    if k > bound:
+        raise BudgetError(f"order k enumerates 2^k directives; k exceeds the bound of {bound}")
     if k < 2:
         return LengthHistogram(k, {k + 2: 2**k})
     xs, ys = _descendants(k - k // 2)
@@ -188,16 +184,13 @@ def histogram(k: int) -> LengthHistogram:
     packed_y = int.from_bytes(array("I", ys), byteorder)
     counts: Counter[int] = Counter()
     batch = array("I")
-    ends: list[int] = []
+    ends = array("I")
     # (pa, pb) is the period pair of x: a final a keeps the a-period, a final b the b-period
     for lo, pa, pb in zip(range(0, n // 2, s), xs[: n // 2 : s], ys[s - 1 : n // 2 : s]):
         row = (pa * packed_x + pb * packed_y).to_bytes(n * _LANE, byteorder)
         batch.frombytes(row[lo * _LANE : (n - lo) * _LANE])
-        if s == 1:  # x reverse(complement(x)), then the palindrome x reverse(x)
-            ends += (pa * pa + pb * pb, 2 * pa * pb)
-        else:  # x w reverse(complement(x)), one length for both w; x a reverse(x), x b reverse(x)
-            q = pa * pa + pa * pb + pb * pb
-            ends += (q, q, pa * (pa + 2 * pb), pb * (pb + 2 * pa))
+        ends.frombytes(row[lo * _LANE : (lo + s) * _LANE])
+        ends.frombytes(row[(n - lo - s) * _LANE : (n - lo) * _LANE])
         if len(batch) >= _BATCH:
             counts.update(batch)
             del batch[:]
@@ -224,10 +217,7 @@ def almost_alternating(k: int) -> str:
     """
     if k < 3:
         raise ValueError("almost alternating words start at length 3")
-    v = "abb"
-    for j in range(3, k):
-        v += "a" if j % 2 else "b"
-    return v
+    return "abb" + alternating(k - 3)
 
 
 def word_class(v: str) -> set[str]:
@@ -336,7 +326,7 @@ def bound_report_histogram(h: LengthHistogram) -> BoundReport:
         == sum(1 for v in alternating_pair if length[v] > ceiling),
         exactly(ceiling, ceiling_class),
         {3 * k - 2, 3 * k - 1, 5 * k - 8, 5 * k - 7} <= counts.keys(),
-        len(h.missing) >= fib(k - 4) + k - 3,
+        h.missing_count >= fib(k - 4) + k - 3,
     )
 
 

@@ -76,6 +76,7 @@ from .stern import (
 )
 from .trees import nu, path_of_fraction, ra_of, raney, stern_brocot
 from .words import complement, encode, integral_rep, is_constant, is_lyndon, min_period, word_of
+from .words import plus_prefix, plus_suffix
 
 STERN_PREFIX = (
     0, 1, 1, 2, 1, 3, 2, 3, 1, 4, 3, 5, 2, 5, 3, 4,
@@ -187,12 +188,20 @@ def check_stern_evaluators(_k: int, limit: int):
 
 @_check("odd-length-even-period", k=12)
 def check_odd_even_correspondence(k: int, _n: int):
+    short = min(k, 10)
     failures = (
         w for w in _words_up_to(k)
         if stern(encode("b" + w + "b")) != sum(period_pair(w))
         or stern(encode("b" + w + "b") + 1) != min_period_central(w + "b")
     )
-    return f"s at <bwb>, <bwb>+1 for |w| <= {k}", failures
+    decompositions = (  # s(2n+1) = s(n) + s(n+1) on words: |C(v)| split at either end
+        ("decomposition", v) for v in _words_up_to(short) if not is_constant(v)
+        if not sum(period_pair(v))
+        == sum(period_pair(v[:-1])) + sum(period_pair(plus_prefix(v)))
+        == sum(period_pair(v[1:])) + sum(period_pair(plus_suffix(v)))
+    )
+    detail = f"s at <bwb>, <bwb>+1 for |w| <= {k}, length decompositions for |v| <= {short}"
+    return detail, itertools.chain(failures, decompositions)
 
 
 @_check("palindromization-composition", k=10)
@@ -424,7 +433,7 @@ def _order(k: int) -> _OrderFigures:
     support = h.support
     return _OrderFigures(
         h.mass, h.weighted_mass, support[0], support[-1],
-        h.max_count, frozenset(h.argmax), len(h.missing),
+        h.max_count, frozenset(h.argmax), h.missing_count,
         k < 3 or bound_report_histogram(h).passed,
         {n: c for n, c in h.counts.items() if n <= _SHORT_LENGTHS},
     )

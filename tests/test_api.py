@@ -66,7 +66,6 @@ def test_every_export_has_a_caller():
 UNVERIFIED = {
     "bound_report": "README.md",
     "factor_count": "README.md",
-    "plus_suffix": "README.md",
     "stern_via_zeta": "src/diatomic/cli.py",
     "subword_binomial": "README.md",
     "tree_node": "src/diatomic/cli.py",

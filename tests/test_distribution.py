@@ -129,10 +129,22 @@ def test_histogram_lanes_hold_every_enumerated_length():
 
 def test_histogram_refuses_orders_past_the_lane(monkeypatch):
     monkeypatch.setattr(distribution, "MAX_ENUMERATED_ORDER", 100)
+    bound = distribution._LANE_ORDER  # 44 with 4-byte lanes
     start = time.perf_counter()
-    with pytest.raises(BudgetError, match="MAX_ENUMERATED_ORDER"):
+    with pytest.raises(BudgetError) as refused:
         histogram(50)
     assert time.perf_counter() - start < 0.1
+    # the one refusal, naming the smaller bound
+    assert str(refused.value) == f"order k enumerates 2^k directives; k exceeds the bound of {bound}"
+
+
+def test_missing_count_counts_the_missing_list():
+    for k in range(17):
+        h = histogram(k)
+        assert h.missing_count == len(h.missing)
+    # words moved to 5 and to 35, outside [k + 2, F(k+1)], fill no gap
+    moved = LengthHistogram(4, {5: 1, 6: 1, 9: 4, 10: 2, 11: 4, 12: 2, 13: 1, 35: 1})
+    assert moved.missing == [7, 8] and moved.missing_count == 2
 
 
 def test_support_bounds_and_gaps():

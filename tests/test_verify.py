@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from diatomic import ChristoffelWord, cli, verify
-from diatomic.distribution import counts_for_length
+from diatomic.distribution import LengthHistogram, bound_report, counts_for_length
 from diatomic.fracs import Frac
 
 
@@ -172,6 +172,10 @@ PLANTED = {
     "published-table-pins": (
         verify.check_tables, (8, 0), "histogram", 7,
         lambda h: h._replace(counts={**h.counts, 41: h.counts[41] + 1}), "7"),
+    # +(ab) read as a, not the empty word: |C(b)| + |C(a)| = 6, but |C(ab)| = 5
+    "odd-length-even-period:decomposition": (
+        verify.check_odd_even_correspondence, (6, 0), "plus_suffix", "ab",
+        lambda suffix: suffix + "a", "('decomposition', 'ab')"),
 }
 
 
@@ -190,6 +194,16 @@ def test_a_planted_fault_names_its_case(
     verify._order.cache_clear()  # the clean run above filled it
     result = check(*bounds)
     assert not result.ok and result.detail.endswith(f"; first failure: {first}")
+
+
+def test_histogram_checks_count_missing_lengths_without_listing_them(monkeypatch, fresh_orders):
+    def unlisted(h):
+        raise AssertionError("the missing lengths were listed")
+
+    monkeypatch.setattr(LengthHistogram, "missing", property(unlisted))
+    assert verify.check_tables(12, 0).ok
+    assert verify.check_bounds(12, 0).ok
+    assert bound_report(8).passed
 
 
 def test_totient_identity(fresh_orders):
