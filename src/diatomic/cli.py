@@ -110,14 +110,6 @@ def _fraction(text: str) -> tuple[int, ...]:
     return tuple(_integers(texts, "a fraction part", f"not a fraction: {text!r}"))
 
 
-def _bound(text: str) -> int:
-    """A non-negative integer bound; argparse reports the rejection."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"bounds are non-negative: {value}")
-    return value
-
-
 def _render_word(w: str, alphabet: str) -> str:
     if not w:
         return "eps"
@@ -177,18 +169,19 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_occ, csv_header=("marker", "key", "occurrence"))
 
     p = sub.add_parser("tree", help="node number and tree labels of a path")
-    p.add_argument("path", nargs="?")
-    p.add_argument("--fraction", help="look a label up instead of giving a path")
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("path", nargs="?")
+    group.add_argument("--fraction", help="look a label up instead of giving a path")
     p.add_argument("--flavor", choices=("raney", "sternbrocot"), default="raney")
     p.set_defaults(run=_cmd_tree, csv_header=None)
 
     p = sub.add_parser("dist", help="length distribution of one order")
-    p.add_argument("k", type=int)
+    p.add_argument("k")
     p.set_defaults(run=_cmd_dist, csv_header=("k", "n", "count"))
 
     p = sub.add_parser("verify", help="run the identity suite")
-    p.add_argument("--max-k", type=_bound, default=verify_mod.DEFAULT_MAX_K)
-    p.add_argument("--max-n", type=_bound, default=verify_mod.DEFAULT_MAX_N)
+    p.add_argument("--max-k", default=str(verify_mod.DEFAULT_MAX_K))
+    p.add_argument("--max-n", default=str(verify_mod.DEFAULT_MAX_N))
     p.set_defaults(run=_cmd_verify, csv_header=("name", "ok", "detail"))
 
     return parser
@@ -320,8 +313,6 @@ def _cmd_occ(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    if (args.path is None) == (args.fraction is None):
-        raise _Refusal(EXIT_PARSE, "give exactly one of a path word or --fraction")
     if args.fraction is not None:
         path = path_of_fraction(_fraction(args.fraction), args.flavor)
     else:
@@ -343,8 +334,9 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
+    (k,) = _integers((args.k,), "k", f"not an integer: {args.k!r}")
     # counts come sorted by length; each format reads only the figures it prints
-    h = histogram(args.k)
+    h = histogram(k)
     if args.format == "csv":
         return _emit(args, [], {}, zip(repeat(h.order), h.counts, h.counts.values()))
     missing = h.missing
@@ -372,7 +364,13 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = verify_mod.run_checks(args.max_k, args.max_n)
+    max_k, max_n = _integers(
+        (args.max_k, args.max_n), "a bound",
+        f"bounds are integers: --max-k {args.max_k!r}, --max-n {args.max_n!r}",
+    )
+    if min(max_k, max_n) < 0:
+        raise _Refusal(EXIT_PARSE, f"bounds are non-negative: --max-k {max_k}, --max-n {max_n}")
+    results = verify_mod.run_checks(max_k, max_n)
     passed = sum(res.ok for res in results)
     lines = [
         f"{'PASS' if res.ok else 'FAIL'}  {res.name}  ({res.detail})" for res in results

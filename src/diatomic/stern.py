@@ -168,8 +168,6 @@ def reverse_bits(n: int) -> int:
     """
     if n < 0:
         raise ValueError("negative integers have no binary expansion")
-    if n == 0:
-        return 0
     return int(format(n, "b")[::-1], 2)
 
 

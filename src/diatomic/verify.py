@@ -71,12 +71,13 @@ from .stern import (
     stern_via_christoffel,
     stern_via_integral_continuant,
     stern_via_subwords,
+    stern_via_zeta,
     zeta,
     zeta_sterns,
 )
-from .trees import nu, path_of_fraction, ra_of, raney, stern_brocot
-from .words import complement, encode, integral_rep, is_constant, is_lyndon, min_period, word_of
-from .words import plus_prefix, plus_suffix
+from .trees import nu, path_of_fraction, ra_of, raney, stern_brocot, tree_node
+from .words import complement, decode, encode, integral_rep, is_constant, is_lyndon, min_period
+from .words import factor_count, plus_prefix, plus_suffix, subword_binomial, word_of
 
 STERN_PREFIX = (
     0, 1, 1, 2, 1, 3, 2, 3, 1, 4, 3, 5, 2, 5, 3, 4,
@@ -170,18 +171,28 @@ def check_stern_prefix(_k: int, _n: int):
 # the one integer range past 2^14: its clamp sets the suite's ceiling
 @_check("stern-evaluator-agreement", n=2**16)
 def check_stern_evaluators(_k: int, limit: int):
-    zeta_limit, short = min(limit, 2048), min(limit, 128)
+    zeta_limit, binomial, short = min(limit, 2048), min(limit, 256), min(limit, 128)
     failures = itertools.chain(
         (n for n in range(limit + 1)
          if not stern(n) == stern_via_christoffel(n) == stern_via_subwords(n)),
         (n for n, value in enumerate(zeta_sterns(zeta_limit), start=2) if stern(n) != value),
+        # the Calkin-Wilf theorem by its definition: b, bab, babab, ... as
+        # subwords of the binary expansion, each pattern counted on its own
+        (
+            ("subword_binomial", n) for n in range(binomial + 1)
+            for w in [decode(n)]
+            if sum(subword_binomial(w, "b" + "ab" * i) for i in range((len(w) + 1) // 2))
+            != stern(n)
+        ),
         # the same continuant over the zeta function, not over its inline values
         (("zeta", n) for n in range(2, short + 1)
          if (-1) ** ((n - 1) // 2) * continuant(map(zeta, range(1, n))) != stern(n)),
+        (("stern_via_zeta", n) for n in range(2, short + 1) if stern_via_zeta(n) != stern(n)),
     )
     detail = (
         f"recurrence = words = subwords on 0..{limit}, = continuant on 2..{zeta_limit},"
-        f" = continuant of zeta on 2..{short}"
+        f" = pattern subword counts on 0..{binomial},"
+        f" = continuant of zeta and stern_via_zeta on 2..{short}"
     )
     return detail, failures
 
@@ -318,15 +329,23 @@ def check_subword_counts(k: int, _n: int):
 
 @_check("weighted-factor-decomposition", k=12, n=512)
 def check_factor_decomposition(k: int, limit: int):
+    short = min(k, 6)
     failures = itertools.chain(
         (
             ("factors", w) for w in _words_up_to(k)
             if factor_decomposition(w).total != sum(period_pair(w))
         ),
+        # each listed count against a direct count of the factor in b w b
+        (
+            ("factor_count", w) for w in _words_up_to(short)
+            for d in [factor_decomposition(w)]
+            if any(factor_count("b" + w + "b", u) != count
+                   for u, *_, count in (*d.single_a, *d.multi_a))
+        ),
         (("stern", n) for n in range(limit + 1) if not stern_factor_identity(n)),
     )
     detail = (
-        f"totals equal lengths for |w| <= {k},"
+        f"totals equal lengths for |w| <= {k}, factor counts for |w| <= {short},"
         f" factor-occurrence form of s(n) for n <= {limit}"
     )
     return detail, failures
@@ -334,14 +353,26 @@ def check_factor_decomposition(k: int, limit: int):
 
 @_check("tree-duality", k=12)
 def check_tree_duality(k: int, _n: int):
-    failures = (
-        w for w in _words_up_to(k)
-        for ra in [raney(w)]
-        if stern_brocot(w) != raney(w[::-1])
-        or raney(complement(w)) != ra.inverse
-        or path_of_fraction(ra, "raney") != w
+    short = min(k, 10)
+    failures = itertools.chain(
+        (
+            w for w in _words_up_to(k)
+            for ra in [raney(w)]
+            if stern_brocot(w) != raney(w[::-1])
+            or raney(complement(w)) != ra.inverse
+            or path_of_fraction(ra, "raney") != w
+        ),
+        (
+            ("tree_node", w) for w in _words_up_to(short)
+            for node in [tree_node(w)]
+            if node.path != w or node.raney != (stern(node.number - 1), stern(node.number))
+        ),
     )
-    return f"reversal, complement inversion, path inverse for |w| <= {k}", failures
+    detail = (
+        f"reversal, complement inversion, path inverse for |w| <= {k},"
+        f" node labels s(m-1)/s(m) for |w| <= {short}"
+    )
+    return detail, failures
 
 
 @_check("mirror-formula", k=12)

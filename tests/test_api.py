@@ -63,13 +63,7 @@ def test_every_export_has_a_caller():
 
 #: Exported functions that no ``verify`` check calls, each with its one
 #: caller outside the library's identities.
-UNVERIFIED = {
-    "bound_report": "README.md",
-    "factor_count": "README.md",
-    "stern_via_zeta": "src/diatomic/cli.py",
-    "subword_binomial": "README.md",
-    "tree_node": "src/diatomic/cli.py",
-}
+UNVERIFIED = {"bound_report": "README.md"}
 
 
 def test_verify_reaches_every_export_but_the_declared_few():

@@ -229,10 +229,11 @@ def test_tree_fraction_preconditions(capsys):
 
 
 def test_tree_argument_exclusivity(capsys):
-    code, _, _ = run_cli(capsys, "tree")
-    assert code == 2
-    code, _, _ = run_cli(capsys, "tree", "ab", "--fraction", "1/2")
-    assert code == 2
+    # a path and --fraction form one required group: argparse refuses neither and both
+    for argv in (["tree"], ["tree", "ab", "--fraction", "1/2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 def test_budget_exit(capsys):
@@ -303,6 +304,30 @@ def test_hostile_argv(capsys, argv, code, err):
         assert len(result[2]) < 200
     if DIGIT_LIMIT in err:
         assert str(LIMIT) in result[2]
+
+
+#: Every integer the CLI reads from argv, at the place marked "{}".
+NUMERIC_ARGV = {
+    "stern": ["stern", "{}"],
+    "dist": ["dist", "{}"],
+    "max-k": ["verify", "--max-k", "{}"],
+    "max-n": ["verify", "--max-n", "{}"],
+    "slope-num": ["christoffel", "--slope", "{}/1"],
+    "slope-den": ["christoffel", "--slope", "1/{}"],
+    "fraction-num": ["tree", "--fraction", "{}/1"],
+    "fraction-den": ["tree", "--fraction", "1/{}"],
+}
+
+
+@pytest.mark.parametrize("argv", NUMERIC_ARGV.values(), ids=NUMERIC_ARGV)
+def test_every_argv_integer_is_read_one_way(capsys, argv):
+    # past the digit limit: a budget whose message names the limit, not the input
+    code, out, err = run_cli(capsys, *(arg.format(PAST_LIMIT) for arg in argv))
+    assert (code, out) == (4, "") and DIGIT_LIMIT in err and len(err) < 200
+    assert PAST_LIMIT[:50] not in err
+    # malformed: a one-line parse refusal returned by main, not argparse's exit
+    code, out, err = run_cli(capsys, *(arg.format("1x") for arg in argv))
+    assert (code, out) == (2, "") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_tree_fraction_reads_a_bare_integer_as_p_over_1(capsys):
@@ -440,11 +465,13 @@ def test_verify_fast(capsys):
 
 
 @pytest.mark.parametrize("bounds", [("--max-k", "-1"), ("--max-n", "-5"), ("--max-k", "x")])
-def test_verify_rejects_bad_bounds(capsys, bounds):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", *bounds])
-    captured = capsys.readouterr()
-    assert exc.value.code == 2 and captured.out == "" and bounds[0] in captured.err
+def test_verify_rejects_bad_bounds(capsys, monkeypatch, bounds):
+    def unreached(*_):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli.verify_mod, "run_checks", unreached)
+    code, out, err = run_cli(capsys, "verify", *bounds)
+    assert (code, out) == (2, "") and bounds[0] in err and err.count("\n") == 1
 
 
 def test_verify_json(capsys):

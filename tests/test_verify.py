@@ -176,6 +176,21 @@ PLANTED = {
     "odd-length-even-period:decomposition": (
         verify.check_odd_even_correspondence, (6, 0), "plus_suffix", "ab",
         lambda suffix: suffix + "a", "('decomposition', 'ab')"),
+    # b and bab each counted once too often in bab, the binary expansion of 5
+    "stern-evaluator-agreement:subword_binomial": (
+        verify.check_stern_evaluators, (0, 64), "subword_binomial", "bab",
+        lambda count: count + 1, "('subword_binomial', 5)"),
+    "stern-evaluator-agreement:stern_via_zeta": (
+        verify.check_stern_evaluators, (0, 64), "stern_via_zeta", 37,
+        lambda s: s + 1, "('stern_via_zeta', 37)"),
+    # bab counted twice in bab = b a b, the host of the directive a
+    "weighted-factor-decomposition:factor_count": (
+        verify.check_factor_decomposition, (6, 64), "factor_count", "bab",
+        lambda count: count + 1, "('factor_count', 'a')"),
+    # the node ab labelled with the inverse of its Raney label
+    "tree-duality:tree_node": (
+        verify.check_tree_duality, (6, 0), "tree_node", "ab",
+        lambda node: node._replace(raney=node.raney.inverse), "('tree_node', 'ab')"),
 }
 
 
@@ -243,7 +258,8 @@ def test_stern_evaluators_clamp_max_n():
 def test_details_name_every_range_they_run():
     assert verify.check_factor_decomposition(12, 512) == verify.CheckResult(
         "weighted-factor-decomposition", True,
-        "totals equal lengths for |w| <= 12, factor-occurrence form of s(n) for n <= 512",
+        "totals equal lengths for |w| <= 12, factor counts for |w| <= 6,"
+        " factor-occurrence form of s(n) for n <= 512",
     )
     assert verify.check_stern_identities(13, 4096) == verify.CheckResult(
         "stern-identities", True,
@@ -253,7 +269,7 @@ def test_details_name_every_range_they_run():
     assert verify.check_stern_evaluators(0, 100) == verify.CheckResult(
         "stern-evaluator-agreement", True,
         "recurrence = words = subwords on 0..100, = continuant on 2..100,"
-        " = continuant of zeta on 2..100",
+        " = pattern subword counts on 0..100, = continuant of zeta and stern_via_zeta on 2..100",
     )
     assert verify.check_integral_continuant(12, 0) == verify.CheckResult(
         "integral-continuant-stern", True,
