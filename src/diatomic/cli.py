@@ -44,7 +44,7 @@ from .christoffel import (
     lyndon_factorization,
 )
 from .distribution import histogram
-from .palindromes import pal_closure, period_pair, psi, psi_inverse
+from .palindromes import _period_pair_capped, pal_closure, period_pair, psi, psi_inverse
 from .stern import (
     MARKED_OCCURRENCE_CAP,
     marked_occurrences,
@@ -70,6 +70,8 @@ TEXT_ROW_LIMIT = 10**5
 _FROM_01 = str.maketrans("01", "ab")
 _TO_01 = str.maketrans("ab", "01")
 _INTEGER = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")
+#: A parse refusal quotes at most this many characters of each argument.
+_QUOTED = 40
 
 
 class _Refusal(Exception):
@@ -88,10 +90,18 @@ def _parse_word(text: str, alphabet: str) -> str:
     return text.translate(_FROM_01) if alphabet == "01" else text
 
 
-def _integers(texts: Sequence[str], name: str, malformed: str) -> list[int]:
-    """The integers spelled by ``texts``.  A malformed one is a parse refusal;
-    when all are well formed, one with more digits than Python converts is
-    a budget, named by ``name``."""
+def _integers(arguments: Sequence[tuple[str, str]], name: str, head: str = "not an integer",
+              texts: Sequence[str] | None = None) -> list[int]:
+    """The integers spelled by the texts of ``arguments``, (argument name,
+    argv text) pairs, or by ``texts`` when given, which are read from them.
+
+    A malformed one is a parse refusal: ``head``, then each argument's
+    name and at most ``_QUOTED`` characters of its text, with the text's
+    length when it is cut.  When all are well formed, one with more
+    digits than Python converts is a budget, named by ``name``.
+    """
+    if texts is None:
+        texts = [text for _, text in arguments]
     try:
         return [int(text) for text in texts]
     except ValueError:
@@ -100,14 +110,19 @@ def _integers(texts: Sequence[str], name: str, malformed: str) -> list[int]:
                 f"{name} has more than {sys.get_int_max_str_digits()} digits,"
                 " the limit of integer string conversion"
             ) from None
-        raise _Refusal(EXIT_PARSE, malformed) from None
+        quoted = ", ".join(
+            f"{argument} {text!r}" if len(text) <= _QUOTED
+            else f"{argument} {text[:_QUOTED]!r}... ({len(text)} characters)"
+            for argument, text in arguments
+        )
+        raise _Refusal(EXIT_PARSE, f"{head}: {quoted}") from None
 
 
-def _fraction(text: str) -> tuple[int, ...]:
+def _fraction(argument: str, text: str) -> tuple[int, ...]:
     """Unreduced (p, q) of "p/q", or (p, 1) of a bare integer "p"."""
     num_text, sep, den_text = text.partition("/")
     texts = (num_text, den_text if sep else "1")
-    return tuple(_integers(texts, "a fraction part", f"not a fraction: {text!r}"))
+    return tuple(_integers([(argument, text)], "a fraction part", "not a fraction", texts))
 
 
 def _render_word(w: str, alphabet: str) -> str:
@@ -168,11 +183,17 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     p.set_defaults(run=_cmd_occ, csv_header=("marker", "key", "occurrence"))
 
-    p = sub.add_parser("tree", help="node number and tree labels of a path")
+    # argparse draws no group that mixes a positional with an option, so
+    # tree's usage line is written out to show that exactly one is given
+    flavors = ("raney", "sternbrocot")
+    p = sub.add_parser(
+        "tree", help="node number and tree labels of a path",
+        usage="%(prog)s [-h] [--flavor {" + ",".join(flavors) + "}] (path | --fraction FRACTION)",
+    )
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("path", nargs="?")
     group.add_argument("--fraction", help="look a label up instead of giving a path")
-    p.add_argument("--flavor", choices=("raney", "sternbrocot"), default="raney")
+    p.add_argument("--flavor", choices=flavors, default="raney")
     p.set_defaults(run=_cmd_tree, csv_header=None)
 
     p = sub.add_parser("dist", help="length distribution of one order")
@@ -226,7 +247,7 @@ def _cmd_directive(args: argparse.Namespace) -> int:
 
 def _cmd_christoffel(args: argparse.Namespace) -> int:
     if args.slope is not None:
-        cw = christoffel_by_slope(*_fraction(args.slope))
+        cw = christoffel_by_slope(*_fraction("--slope", args.slope))
     else:
         cw = christoffel_by_directive(_parse_word(args.directive, args.alphabet))
     lines = [
@@ -262,7 +283,7 @@ def _cmd_christoffel(args: argparse.Namespace) -> int:
 
 def _cmd_stern(args: argparse.Namespace) -> int:
     # s(n) <= n, so any n that converts also prints
-    (n,) = _integers((args.n,), "n", f"not an integer: {args.n!r}")
+    (n,) = _integers([("n", args.n)], "n")
     methods = {
         "recurrence": stern,
         "christoffel": stern_via_christoffel,
@@ -281,9 +302,10 @@ def _cmd_stern(args: argparse.Namespace) -> int:
 
 def _cmd_occ(args: argparse.Namespace) -> int:
     w = _parse_word(args.word, args.alphabet)
-    # the row count, known before any row is built; past the cap,
-    # marked_occurrences refuses first, with its own message
-    count = sum(period_pair(w))
+    # the row count, known before any row is built; past the cap it is
+    # only known to be past it, and marked_occurrences refuses with its
+    # own message
+    count = sum(_period_pair_capped(w, MARKED_OCCURRENCE_CAP))
     if args.format == "text" and TEXT_ROW_LIMIT < count <= MARKED_OCCURRENCE_CAP:
         raise BudgetError(
             f"{count} rows exceed the text limit of {TEXT_ROW_LIMIT}; use --format json or csv"
@@ -314,7 +336,7 @@ def _cmd_occ(args: argparse.Namespace) -> int:
 
 def _cmd_tree(args: argparse.Namespace) -> int:
     if args.fraction is not None:
-        path = path_of_fraction(_fraction(args.fraction), args.flavor)
+        path = path_of_fraction(_fraction("--fraction", args.fraction), args.flavor)
     else:
         path = _parse_word(args.path, args.alphabet)
     node = tree_node(path)
@@ -334,7 +356,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
-    (k,) = _integers((args.k,), "k", f"not an integer: {args.k!r}")
+    (k,) = _integers([("k", args.k)], "k")
     # counts come sorted by length; each format reads only the figures it prints
     h = histogram(k)
     if args.format == "csv":
@@ -365,8 +387,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     max_k, max_n = _integers(
-        (args.max_k, args.max_n), "a bound",
-        f"bounds are integers: --max-k {args.max_k!r}, --max-n {args.max_n!r}",
+        [("--max-k", args.max_k), ("--max-n", args.max_n)], "a bound", "bounds are integers"
     )
     if min(max_k, max_n) < 0:
         raise _Refusal(EXIT_PARSE, f"bounds are non-negative: --max-k {max_k}, --max-n {max_n}")

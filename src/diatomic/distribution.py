@@ -37,10 +37,13 @@ complement half alone.
 
 ``histogram`` packs the level's a-periods and its b-periods into one
 integer each, one lane of ``_LANE`` bytes per entry, so the lengths of
-a whole row are the lanes of one integer product and cost no Python
-step each, the row ends included.  No lane carries while F(k+1), the
-longest order-k length, fits one; one refusal covers that lane bound and
-``MAX_ENUMERATED_ORDER``.  The lengths reach ``Counter.update`` in batches.
+a whole row are the lanes of one integer product, the row ends included,
+and only counting them costs a Python step each.  No lane carries while
+F(k+1), the longest order-k length, fits one; one refusal covers that
+lane bound and ``MAX_ENUMERATED_ORDER``.  The same bound sizes one dense
+tally, a list indexed by length, which each row's lanes update through
+a ``memoryview``; read in index order, it gives the counts sorted by
+length.
 
 A ``LengthHistogram`` is the one record of an order: its counts C_k(n),
 their mass, and the order statistics read from them, the maximal
@@ -55,7 +58,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import Counter
 from fractions import Fraction
 from itertools import count
 from math import gcd
@@ -68,11 +70,6 @@ from .words import BudgetError, complement
 
 #: Largest order accepted by ``histogram``, read at call time.
 MAX_ENUMERATED_ORDER = 26
-
-#: ``histogram`` hands its row lengths to ``Counter.update`` in batches
-#: of at least this many: one call serves many short rows, and a batch
-#: holds at most this many lengths plus one row.
-_BATCH = 1 << 12
 
 #: Bytes in one lane of ``histogram``'s packed integers: one unsigned C
 #: int, 4 bytes on common platforms, which holds F(27) = 514229, the
@@ -163,8 +160,9 @@ def histogram(k: int) -> LengthHistogram:
     pack the level's a-periods and b-periods one ``_LANE``-byte lane per
     entry.  An order past ``MAX_ENUMERATED_ORDER`` or ``_LANE_ORDER``,
     whose longest words would carry into the next lane, raises
-    :class:`BudgetError` up front.  Row lengths reach ``Counter.update``
-    in batches of at least ``_BATCH``.
+    :class:`BudgetError` up front.  The lanes are read as C unsigned ints
+    into a tally list of F(k+1) + 1 entries: 4 for each lane of a row,
+    2 off again for each of the s end lanes at either end.
 
     >>> histogram(3).counts
     {5: 2, 7: 4, 8: 2}
@@ -182,23 +180,18 @@ def histogram(k: int) -> LengthHistogram:
     byteorder = sys.byteorder
     packed_x = int.from_bytes(array("I", xs), byteorder)
     packed_y = int.from_bytes(array("I", ys), byteorder)
-    counts: Counter[int] = Counter()
-    batch = array("I")
-    ends = array("I")
+    tally = [0] * (fib(k + 1) + 1)
     # (pa, pb) is the period pair of x: a final a keeps the a-period, a final b the b-period
     for lo, pa, pb in zip(range(0, n // 2, s), xs[: n // 2 : s], ys[s - 1 : n // 2 : s]):
-        row = (pa * packed_x + pb * packed_y).to_bytes(n * _LANE, byteorder)
-        batch.frombytes(row[lo * _LANE : (n - lo) * _LANE])
-        ends.frombytes(row[lo * _LANE : (lo + s) * _LANE])
-        ends.frombytes(row[(n - lo - s) * _LANE : (n - lo) * _LANE])
-        if len(batch) >= _BATCH:
-            counts.update(batch)
-            del batch[:]
-    counts.update(batch)
-    lengths = {length: 4 * c for length, c in sorted(counts.items())}
-    for length in ends:
-        lengths[length] -= 2
-    return LengthHistogram(k, lengths)
+        product = pa * packed_x + pb * packed_y
+        row = memoryview(product.to_bytes(n * _LANE, byteorder)).cast("I")
+        for length in row[lo : n - lo]:
+            tally[length] += 4
+        for length in row[lo : lo + s]:
+            tally[length] -= 2
+        for length in row[n - lo - s : n - lo]:
+            tally[length] -= 2
+    return LengthHistogram(k, {length: c for length, c in enumerate(tally) if c})
 
 
 def alternating(k: int, first: str = "a") -> str:

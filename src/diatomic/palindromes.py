@@ -119,6 +119,29 @@ def period_pair(v: str) -> tuple[int, int]:
     return pa, pb
 
 
+#: ``_period_pair_capped`` compares with its cap once per this many
+#: letters, so its loop costs what period_pair's does.
+_CAP_STRIDE = 64
+
+
+def _period_pair_capped(v: str, cap: int) -> tuple[int, int]:
+    # period_pair(v) while p_a + p_b stays at most ``cap``; past it, the
+    # pair of a prefix of v whose sum passes ``cap``, at most _CAP_STRIDE
+    # letters longer than the shortest such prefix.  The sum only grows,
+    # so a caller that compares it with ``cap`` refuses after that prefix
+    # (about 45 letters of alternation pass 2^30), not after all of v
+    pa = pb = 1
+    for start in range(0, len(v), _CAP_STRIDE):
+        for x in v[start : start + _CAP_STRIDE]:
+            if x == "a":
+                pb += pa
+            else:
+                pa += pb
+        if pa + pb > cap:
+            break
+    return pa, pb
+
+
 #: Images longer than this many letters copy their periods through a
 #: ``memoryview``; shorter ones through slices of the ``bytearray``,
 #: which cost less per copy.  It is also the most letters that
@@ -165,7 +188,7 @@ def _check_budget(length: int) -> int:
 def _image_length(v: str) -> int:
     # len(psi(v)), with v checked to be over {a, b} and the length
     # checked against the budget, before anything is built
-    pa, pb = period_pair(check_word(v))
+    pa, pb = _period_pair_capped(check_word(v), PSI_LENGTH_BUDGET + 2)
     return _check_budget(pa + pb - 2)
 
 

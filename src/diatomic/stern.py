@@ -20,7 +20,7 @@ from bisect import bisect
 from typing import Iterator, NamedTuple
 
 from .continuants import continuant
-from .palindromes import period_pair
+from .palindromes import _period_pair_capped, period_pair
 from .words import BudgetError, complement, decode, encode, integral_rep, plus_prefix
 
 
@@ -286,7 +286,8 @@ def marked_occurrences(w: str) -> tuple[str, list[tuple[int, ...]]]:
     ('ba', [(2,), (1,)])
 
     The number of rows equals the Christoffel length of w, which is
-    checked against ``MARKED_OCCURRENCE_CAP`` before enumerating.
+    checked against ``MARKED_OCCURRENCE_CAP`` before enumerating, by a
+    walk that stops at the first letter past the cap.
     Reversed keys compare as tuples, a proper prefix ranking below its
     extensions, so the table is built sorted with nothing to sort.  The
     keys that start at the b in position j, in decreasing order, are:
@@ -297,7 +298,7 @@ def marked_occurrences(w: str) -> tuple[str, list[tuple[int, ...]]]:
     in decreasing order.  Every extension read yields a row, so no work
     is spent on letters that start nothing (a long run of a, say).
     """
-    predicted = sum(period_pair(w))
+    predicted = sum(_period_pair_capped(w, MARKED_OCCURRENCE_CAP))
     if predicted > MARKED_OCCURRENCE_CAP:
         raise BudgetError(f"occurrences exceed the cap of {MARKED_OCCURRENCE_CAP}")
     host = "b" + w + "b"

@@ -254,7 +254,11 @@ HUGE_SLOPE = f"{9 * 10**4299}/{9 * 10**4299 + 1}"
     (["occ", "ab" * 11000], MARKED_OCCURRENCE_CAP),
     (["dist", "20000"], MAX_ENUMERATED_ORDER),
     (["dist", "1000000000"], MAX_ENUMERATED_ORDER),
-], ids=["psi", "christoffel-directive", "christoffel-slope", "occ", "dist", "dist-huge"])
+    # refused after the first letters past the bound, not after all 200,000
+    (["psi", "ab" * 100_000], PSI_LENGTH_BUDGET),
+    (["occ", "ab" * 100_000], MARKED_OCCURRENCE_CAP),
+], ids=["psi", "christoffel-directive", "christoffel-slope", "occ", "dist", "dist-huge",
+        "psi-long", "occ-long"])
 def test_budget_refusal_names_only_the_bound(capsys, argv, bound):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
@@ -276,7 +280,8 @@ TREE_BUDGET = f"tree path exceeds the budget of {PSI_LENGTH_BUDGET} letters\n"
     (["tree", "--fraction", f"1/{PAST_LIMIT}"], 4, f"a fraction part has {DIGIT_LIMIT}"),
     (["tree", "--fraction", f"{PAST_LIMIT}/1"], 4, f"a fraction part has {DIGIT_LIMIT}"),
     # a malformed part is a parse error, whatever the other part's size
-    (["tree", "--fraction", f"{PAST_LIMIT}/x"], 2, f"not a fraction: '{PAST_LIMIT}/x'"),
+    (["tree", "--fraction", f"{PAST_LIMIT}/x"], 2,
+     f"not a fraction: --fraction '{PAST_LIMIT[:40]}'... (4402 characters)\n"),
     # paths past the budget are refused before any letter is written
     (["tree", "--fraction", "1/1000000000000"], 4, TREE_BUDGET),
     (["tree", "--fraction", "1000000000000/1"], 4, TREE_BUDGET),
@@ -284,9 +289,9 @@ TREE_BUDGET = f"tree path exceeds the budget of {PSI_LENGTH_BUDGET} letters\n"
     # a path within the budget whose node number has too many digits to print
     (["tree", "--fraction", "1/15000"], 5, "Exceeds the limit"),
     (["tree", "--fraction", "4/7"], 0, ""),
-    (["tree", "--fraction", "x/y"], 2, "not a fraction: 'x/y'"),
-    (["tree", "--fraction", "3/"], 2, "not a fraction: '3/'\n"),
-    (["christoffel", "--slope", "3/"], 2, "not a fraction: '3/'\n"),
+    (["tree", "--fraction", "x/y"], 2, "not a fraction: --fraction 'x/y'"),
+    (["tree", "--fraction", "3/"], 2, "not a fraction: --fraction '3/'\n"),
+    (["christoffel", "--slope", "3/"], 2, "not a fraction: --slope '3/'\n"),
 ], ids=[
     "stern-digits", "slope-den-digits", "slope-num-digits", "fraction-den-digits",
     "fraction-num-digits", "fraction-malformed-and-long", "tree-long-den", "tree-long-num",
@@ -328,6 +333,22 @@ def test_every_argv_integer_is_read_one_way(capsys, argv):
     # malformed: a one-line parse refusal returned by main, not argparse's exit
     code, out, err = run_cli(capsys, *(arg.format("1x") for arg in argv))
     assert (code, out) == (2, "") and err.count("\n") == 1 and "Traceback" not in err
+    # malformed and long: named, quoted by 40 characters and its length
+    long_argv = [arg.format(PAST_LIMIT + "x") for arg in argv]
+    code, out, err = run_cli(capsys, *long_argv)
+    name = argv[-2] if argv[-2].startswith("--") else {"stern": "n", "dist": "k"}[argv[0]]
+    text = long_argv[-1]
+    assert (code, out) == (2, "") and len(err) < 200 and PAST_LIMIT[:50] not in err
+    assert f"{name} {text[:40]!r}... ({len(text)} characters)" in err
+
+
+def test_tree_usage_shows_path_or_fraction(capsys):
+    # argparse leaves a group of a positional and an option out of usage
+    with pytest.raises(SystemExit) as exited:
+        main(["tree", "--help"])
+    assert exited.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n", 1)[0]
+    assert usage.endswith(" (path | --fraction FRACTION)")
 
 
 def test_tree_fraction_reads_a_bare_integer_as_p_over_1(capsys):

@@ -98,6 +98,17 @@ def test_histogram_matches_stern_rows():
         assert list(histogram(k).counts.items()) == expected
 
 
+def test_histogram_key_order_and_masses_through_order_22():
+    # past the reach of the Stern rows above, the tally's index order
+    # alone sorts the counts, and it holds no zero count
+    for k in range(17, 23):
+        h = histogram(k)
+        assert list(h.counts) == sorted(h.counts)
+        assert min(h.counts.values()) > 0
+        assert h.mass == 2**k
+        assert h.weighted_mass == 2 * 3**k
+
+
 def test_descendants_index_bits_spell_directives():
     for k in range(9):
         xs, ys = _descendants(k)

@@ -164,6 +164,33 @@ def test_psi_budget(monkeypatch):
     assert len(psi("ab" * 12)) == len(naive_psi("ab" * 12, pal_closure))
 
 
+def test_period_pair_capped_stops_within_a_stride_past_the_cap():
+    stride = palindromes._CAP_STRIDE
+    rng = random.Random(5)
+    random_words = ["".join(rng.choices("ab", k=rng.randrange(300))) for _ in range(200)]
+    for v in [*words_up_to(8), *random_words, "a" * 500, "ab" * 200]:
+        for cap in (2, 13, 10**6, 10**40):
+            pair = palindromes._period_pair_capped(v, cap)
+            if sum(period_pair(v)) <= cap:
+                assert pair == period_pair(v)
+            else:
+                # the shortest prefix past the cap, read to the end of its stride
+                i = next(i for i in range(len(v) + 1) if sum(period_pair(v[:i])) > cap)
+                assert pair == period_pair(v[: -(-i // stride) * stride])
+
+
+@pytest.mark.parametrize("build", [psi, palindromes.framed_psi], ids=["psi", "framed_psi"])
+def test_psi_refuses_a_long_directive_after_a_prefix(build):
+    # 200,000 letters of alternation pass the budget within about 45 of
+    # them, so the refusal does not read the rest
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as refused:
+        build("ab" * 100_000)
+    assert time.perf_counter() - start < 0.1
+    assert str(refused.value) == (
+        f"palindromization image exceeds the budget of {PSI_LENGTH_BUDGET} letters")
+
+
 def test_psi_budget_has_one_handle(monkeypatch):
     # a package-level copy would be a value no guard reads
     import diatomic

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from conftest import words_up_to
 from diatomic.continuants import cf_value
 from diatomic.palindromes import min_period_central, period_pair, psi
 from diatomic.stern import (
+    MARKED_OCCURRENCE_CAP,
     delta_expansion,
     factor_decomposition,
     initial_subword_count,
@@ -291,6 +293,14 @@ def test_marked_occurrences_match_collect_then_sort():
         markers, rows = marked_occurrences(w)
         triples = [(key[::-1], key, m) for m, key in zip(markers, rows, strict=True)]
         assert triples == collect_then_sort_occurrences(w)
+
+
+def test_marked_occurrences_refuses_a_long_word_after_a_prefix():
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as refused:
+        marked_occurrences("ab" * 100_000)
+    assert time.perf_counter() - start < 0.1
+    assert str(refused.value) == f"occurrences exceed the cap of {MARKED_OCCURRENCE_CAP}"
 
 
 def test_marked_occurrences_cap(monkeypatch):
