@@ -10,7 +10,7 @@ the message and maps it to an exit code, fixed so the tool can be scripted:
     0  success
     1  stdout was closed by its reader before the output ended
     2  parse error (words, fractions, integers, flag combinations)
-    3  input is not in the requested class (not central / not Christoffel)
+    3  input is not in the requested class (not a central word)
     4  a size budget would be exceeded
     5  an arithmetic precondition fails (non-coprime slope, n out of range)
     6  internal disagreement (a verification or cross-check failed)
@@ -75,18 +75,30 @@ _QUOTED = 40
 
 
 class _Refusal(Exception):
-    """A command's refusal: ``main`` prints the message and exits with ``code``."""
+    """A command's refusal: ``main`` prints the message and exits with ``code``.
 
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
+    The message is ``head``, then each (argument name, argv text) pair of
+    ``arguments``: the name and at most ``_QUOTED`` characters of the
+    text, with the text's length when it is cut.  Refusals pass argv text
+    here rather than formatting it, so none echoes a long argument.
+    """
+
+    def __init__(self, code: int, head: str, arguments: Sequence[tuple[str, str]] = ()):
+        quoted = ", ".join(
+            f"{argument} {text!r}" if len(text) <= _QUOTED
+            else f"{argument} {text[:_QUOTED]!r}... ({len(text)} characters)"
+            for argument, text in arguments
+        )
+        super().__init__(f"{head}: {quoted}" if quoted else head)
         self.code = code
 
 
-def _parse_word(text: str, alphabet: str) -> str:
+def _parse_word(argument: str, text: str, alphabet: str) -> str:
     if text in ("eps", ""):
         return ""
     if text.strip(alphabet):  # the alphabet's name is its two letters
-        raise _Refusal(EXIT_PARSE, f"not a word over {{{alphabet[0]},{alphabet[1]}}}: {text!r}")
+        head = f"not a word over {{{alphabet[0]},{alphabet[1]}}}"
+        raise _Refusal(EXIT_PARSE, head, [(argument, text)])
     return text.translate(_FROM_01) if alphabet == "01" else text
 
 
@@ -95,10 +107,9 @@ def _integers(arguments: Sequence[tuple[str, str]], name: str, head: str = "not 
     """The integers spelled by the texts of ``arguments``, (argument name,
     argv text) pairs, or by ``texts`` when given, which are read from them.
 
-    A malformed one is a parse refusal: ``head``, then each argument's
-    name and at most ``_QUOTED`` characters of its text, with the text's
-    length when it is cut.  When all are well formed, one with more
-    digits than Python converts is a budget, named by ``name``.
+    A malformed one is a parse refusal, ``head`` followed by the quoted
+    ``arguments``.  When all are well formed, one with more digits than
+    Python converts is a budget, named by ``name``.
     """
     if texts is None:
         texts = [text for _, text in arguments]
@@ -110,12 +121,7 @@ def _integers(arguments: Sequence[tuple[str, str]], name: str, head: str = "not 
                 f"{name} has more than {sys.get_int_max_str_digits()} digits,"
                 " the limit of integer string conversion"
             ) from None
-        quoted = ", ".join(
-            f"{argument} {text!r}" if len(text) <= _QUOTED
-            else f"{argument} {text[:_QUOTED]!r}... ({len(text)} characters)"
-            for argument, text in arguments
-        )
-        raise _Refusal(EXIT_PARSE, f"{head}: {quoted}") from None
+        raise _Refusal(EXIT_PARSE, head, arguments) from None
 
 
 def _fraction(argument: str, text: str) -> tuple[int, ...]:
@@ -222,7 +228,7 @@ def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict,
 
 
 def _cmd_psi(args: argparse.Namespace) -> int:
-    v = _parse_word(args.word, args.alphabet)
+    v = _parse_word("word", args.word, args.alphabet)
     w = psi(v)
     pa, pb = period_pair(v)
     line = f"{_render_word(w, args.alphabet)} (|.|={len(w)}, p_a={pa}, p_b={pb})"
@@ -230,17 +236,17 @@ def _cmd_psi(args: argparse.Namespace) -> int:
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
-    w = _parse_word(args.word, args.alphabet)
+    w = _parse_word("word", args.word, args.alphabet)
     closed = pal_closure(w)
     line = f"{_render_word(closed, args.alphabet)} (|.|={len(closed)})"
     return _emit(args, [line], {"word": w, "closure": closed, "length": len(closed)})
 
 
 def _cmd_directive(args: argparse.Namespace) -> int:
-    w = _parse_word(args.word, args.alphabet)
+    w = _parse_word("word", args.word, args.alphabet)
     v = psi_inverse(w)
     if v is None:
-        raise _Refusal(EXIT_NOT_IN_CLASS, f"{args.word} is not a central word")
+        raise _Refusal(EXIT_NOT_IN_CLASS, "not a central word", [("word", args.word)])
     line = f"{_render_word(v, args.alphabet)} (order {len(v)})"
     return _emit(args, [line], {"word": w, "directive": v, "order": len(v)})
 
@@ -249,7 +255,7 @@ def _cmd_christoffel(args: argparse.Namespace) -> int:
     if args.slope is not None:
         cw = christoffel_by_slope(*_fraction("--slope", args.slope))
     else:
-        cw = christoffel_by_directive(_parse_word(args.directive, args.alphabet))
+        cw = christoffel_by_directive(_parse_word("--directive", args.directive, args.alphabet))
     lines = [
         f"word: {_render_word(cw.word, args.alphabet)}",
         f"slope: {cw.slope}",
@@ -301,7 +307,7 @@ def _cmd_stern(args: argparse.Namespace) -> int:
 
 
 def _cmd_occ(args: argparse.Namespace) -> int:
-    w = _parse_word(args.word, args.alphabet)
+    w = _parse_word("word", args.word, args.alphabet)
     # the row count, known before any row is built; past the cap it is
     # only known to be past it, and marked_occurrences refuses with its
     # own message
@@ -338,7 +344,7 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     if args.fraction is not None:
         path = path_of_fraction(_fraction("--fraction", args.fraction), args.flavor)
     else:
-        path = _parse_word(args.path, args.alphabet)
+        path = _parse_word("path", args.path, args.alphabet)
     node = tree_node(path)
     lines = [
         f"path: {_render_word(node.path, args.alphabet)}",
@@ -386,11 +392,10 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    max_k, max_n = _integers(
-        [("--max-k", args.max_k), ("--max-n", args.max_n)], "a bound", "bounds are integers"
-    )
+    bounds = [("--max-k", args.max_k), ("--max-n", args.max_n)]
+    max_k, max_n = _integers(bounds, "a bound", "bounds are integers")
     if min(max_k, max_n) < 0:
-        raise _Refusal(EXIT_PARSE, f"bounds are non-negative: --max-k {max_k}, --max-n {max_n}")
+        raise _Refusal(EXIT_PARSE, "bounds are non-negative", bounds)
     results = verify_mod.run_checks(max_k, max_n)
     passed = sum(res.ok for res in results)
     lines = [

@@ -287,7 +287,8 @@ def marked_occurrences(w: str) -> tuple[str, list[tuple[int, ...]]]:
 
     The number of rows equals the Christoffel length of w, which is
     checked against ``MARKED_OCCURRENCE_CAP`` before enumerating, by a
-    walk that stops at the first letter past the cap.
+    walk that stops within ``_CAP_STRIDE`` = 64 letters of the first
+    prefix past the cap.
     Reversed keys compare as tuples, a proper prefix ranking below its
     extensions, so the table is built sorted with nothing to sort.  The
     keys that start at the b in position j, in decreasing order, are:

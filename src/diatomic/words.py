@@ -24,9 +24,14 @@ class BudgetError(RuntimeError):
 
 
 def check_word(w: str) -> str:
-    """Return ``w`` unchanged after checking it only uses the letters a, b."""
+    """Return ``w`` unchanged after checking it only uses the letters a, b.
+
+    A refusal names the first other letter and its index, not the word,
+    so its message stays short however long ``w`` is.
+    """
     if w.strip(ALPHABET):
-        raise ValueError(f"not a word over {{a,b}}: {w!r}")
+        i = len(w) - len(w.lstrip(ALPHABET))
+        raise ValueError(f"not a word over {{a,b}}: letter {w[i]!r} at index {i}")
     return w
 
 

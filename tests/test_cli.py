@@ -48,13 +48,12 @@ def test_directive(capsys):
 
 def test_directive_not_central(capsys):
     code, out, err = run_cli(capsys, "directive", "ab")
-    assert code == 3
-    assert not out and "not a central word" in err
+    assert (code, out, err) == (3, "", "not a central word: word 'ab'\n")
 
 
 def test_parse_error(capsys):
     code, _, err = run_cli(capsys, "psi", "abc")
-    assert code == 2 and err
+    assert (code, err) == (2, "not a word over {a,b}: word 'abc'\n")
 
 
 def test_alphabet_01(capsys):
@@ -340,6 +339,39 @@ def test_every_argv_integer_is_read_one_way(capsys, argv):
     text = long_argv[-1]
     assert (code, out) == (2, "") and len(err) < 200 and PAST_LIMIT[:50] not in err
     assert f"{name} {text[:40]!r}... ({len(text)} characters)" in err
+
+
+#: Every word the CLI reads from argv, at the place marked "{}".
+WORD_ARGV = {
+    "psi": ["psi", "{}"],
+    "closure": ["closure", "{}"],
+    "directive": ["directive", "{}"],
+    "occ": ["occ", "{}"],
+    "tree": ["tree", "{}"],
+    "christoffel-directive": ["christoffel", "--directive", "{}"],
+}
+# 120,000 letters, about the longest word one argv string carries
+# (Linux refuses a single one over 128 KiB)
+LONG_WORD = "ab" * 60000
+
+
+@pytest.mark.parametrize("argv", WORD_ARGV.values(), ids=WORD_ARGV)
+def test_every_argv_word_is_quoted_one_way(capsys, argv):
+    # a long word with a letter outside the alphabet: named, quoted by 40
+    # characters and its length, whatever the command
+    long_argv = [arg.format(LONG_WORD + "c") for arg in argv]
+    code, out, err = run_cli(capsys, *long_argv)
+    name = argv[-2] if argv[-2].startswith("--") else {"tree": "path"}.get(argv[0], "word")
+    text = long_argv[-1]
+    assert (code, out) == (2, "") and len(err.encode()) < 200
+    assert f"{name} {text[:40]!r}... ({len(text)} characters)" in err
+
+
+def test_directive_refusal_quotes_a_long_word(capsys):
+    # a word over {a,b} that is not central is refused the same way
+    code, out, err = run_cli(capsys, "directive", LONG_WORD)
+    assert (code, out) == (3, "") and len(err.encode()) < 200
+    assert err == f"not a central word: word {LONG_WORD[:40]!r}... (120000 characters)\n"
 
 
 def test_tree_usage_shows_path_or_fraction(capsys):

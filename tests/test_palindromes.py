@@ -232,10 +232,10 @@ def test_psi_prefix_errors():
         psi_prefix("a", "", 5)
 
 
-@pytest.mark.parametrize("w", ["ac", "€", "a b"])
+@pytest.mark.parametrize("w", ["ac", "€", "a b", pytest.param("ab" * 10**6 + "c", id="long")])
 def test_image_builders_reject_other_letters(monkeypatch, w):
     # checked before the budget: a word that would also be over budget
-    # is refused for its letters
+    # is refused for its letters, by naming the first other one, not w
     monkeypatch.setattr(palindromes, "PSI_LENGTH_BUDGET", 1)
     calls = [
         lambda: psi(w),
@@ -244,8 +244,9 @@ def test_image_builders_reject_other_letters(monkeypatch, w):
         lambda: psi_prefix("ab", w, 5),
     ]
     for call in calls:
-        with pytest.raises(ValueError, match="not a word over"):
+        with pytest.raises(ValueError, match="not a word over") as info:
             call()
+        assert len(str(info.value)) < 200
 
 
 def test_psi_inverse_examples():
