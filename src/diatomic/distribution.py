@@ -59,12 +59,11 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from itertools import count
-from math import gcd
+from itertools import compress, count
 from operator import add
 from typing import NamedTuple
 
-from .continuants import cf_terms, fib
+from .continuants import fib
 from .palindromes import period_pair
 from .words import BudgetError, complement
 
@@ -245,21 +244,43 @@ def counts_for_length(n: int) -> dict[int, int]:
     Each order-k Christoffel word of length n corresponds to a coprime
     period pair (p, n - p), and the order is the tree depth of p/(n - p):
     the sum of its continued-fraction terms, less one.  So one pass over
-    the phi(n) residues settles every k at once.  For n >= 3 the residues
-    p and n - p are distinct, and cf_terms(p, n - p) is
-    [0] + cf_terms(n - p, p), so both have the same order: the pass reads
-    p < n/2 only and counts each residue twice.
-    The values sum to Euler's totient of n.
+    the phi(n) residues settles every k at once.
+
+    For n >= 3 the residues p and n - p are distinct, and cf_terms(p, n - p)
+    is [0] + cf_terms(n - p, p), so both have the same order: the pass
+    reads p < n/2 only and counts each residue twice.  The values sum to
+    Euler's totient of n.
+
+    The residues below n/2 are sieved, not tested one by one: one byte
+    each, and the multiples of each prime factor of n, found by trial
+    division, cleared by one slice assignment.  For each residue left,
+    Euclid's algorithm on (n - p, p) adds up its quotients, the terms of
+    cf_terms(n - p, p), without listing them.  The sieve shares no code
+    with ``totient``, which ``verify`` checks the sums against.
     """
     if n < 2:
         raise ValueError("proper Christoffel words have length at least 2")
     if n == 2:
         return {0: 1}
+    half = (n + 1) // 2
+    coprime = bytearray(b"\x01") * half  # coprime[p] for 0 <= p < n/2
+    coprime[0] = 0
+    rest, f = n, 2
+    while f * f <= rest:
+        if rest % f == 0:
+            coprime[f::f] = bytes(len(range(f, half, f)))
+            while rest % f == 0:
+                rest //= f
+        f += 1 if f == 2 else 2
+    if rest > 1:  # one prime factor is left, above the square root
+        coprime[rest::rest] = bytes(len(range(rest, half, rest)))
     counts: dict[int, int] = {}
-    for p in range(1, (n + 1) // 2):
-        if gcd(p, n) == 1:
-            k = sum(cf_terms(p, n - p)) - 1
-            counts[k] = counts.get(k, 0) + 2
+    for p in compress(range(half), coprime):
+        k, a, b = -1, n - p, p
+        while b:
+            k += a // b
+            a, b = b, a % b
+        counts[k] = counts.get(k, 0) + 2
     return dict(sorted(counts.items()))
 
 

@@ -300,14 +300,31 @@ def check_factorization(k: int, _n: int):
             or (len(w1.word) * p) % n != 1
             or (len(w2.word) * q) % n != 1
             or len(w1.word) != period_pair(v)[0]
-            or (len(v) <= short and not is_lyndon(cw.word))
+            or (len(v) <= short and (
+                not is_lyndon(cw.word)
+                # each factor's slope read off its letters, then its word,
+                # slope and directive against the slope route's record
+                or any(
+                    factor.slope != (factor.word.count("b"), factor.word.count("a"))
+                    or factor != christoffel_by_slope(*factor.slope)
+                    for factor in (w1, w2)
+                )
+            ))
         )
 
+    def least_rotation(w: str) -> bool:  # strictly smaller than each proper rotation
+        return bool(w) and all(w < w[i:] + w[:i] for i in range(1, len(w)))
+
+    failures = itertools.chain(
+        filter(fails, _words_up_to(k)),
+        (("is_lyndon", w) for w in _words_up_to(k) if is_lyndon(w) != least_rotation(w)),
+    )
     detail = (
         f"slope route = directive route, split at p_a(v), order, modular inverses for |v| <= {k},"
-        f" Lyndon words for |v| <= {short}"
+        f" Lyndon words and factor records for |v| <= {short},"
+        f" is_lyndon = least rotation for |w| <= {k}"
     )
-    return detail, filter(fails, _words_up_to(k))
+    return detail, failures
 
 
 @_check("occurrence-markers", k=10)

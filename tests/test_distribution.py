@@ -248,8 +248,10 @@ def test_counts_for_length_matches_histograms():
 
 def test_counts_for_length_matches_full_residue_loop():
     # the oracle reads every residue 1 <= p < n, where counts_for_length
-    # reads p < n/2 and counts each twice
-    for n in range(2, 2001):
+    # reads p < n/2 and counts each twice; past 2000, lengths whose sieve
+    # is unusual: six prime factors (30030), a prime power (3^9 and 2^16),
+    # a prime (65537) and a prime factor above the square root (2 * 9973)
+    for n in [*range(2, 2001), 30030, 19683, 65536, 65537, 19946]:
         counts = {}
         for p in range(1, n):
             if gcd(p, n) == 1:
@@ -262,6 +264,17 @@ def test_counts_for_length_matches_full_residue_loop():
 
 def test_counts_for_length_example():
     assert sum(counts_for_length(11).values()) == 10 == totient(11)
+
+
+def test_counts_for_length_sieves_without_totient(monkeypatch):
+    # totient-identity compares the two, so the sieve must not use totient
+    expected = {n: counts_for_length(n) for n in (11, 30030, 19946)}
+
+    def raising(n):
+        raise AssertionError("counts_for_length called totient")
+
+    monkeypatch.setattr(distribution, "totient", raising)
+    assert {n: counts_for_length(n) for n in expected} == expected
 
 
 def test_bound_report():

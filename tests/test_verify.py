@@ -62,6 +62,32 @@ def test_directive_roundtrip_catches_a_wrong_word_with_the_right_directive(monke
         assert not result.ok and result.detail.endswith(f"; first failure: {first}")
 
 
+def test_lyndon_factorization_compares_factor_records(monkeypatch):
+    # the right factor's slope (p - b)/(q - pa + b) computed as
+    # (p - b)/(q - pa - b), b the letters b of the left factor: the word
+    # abb of directive b splits as ab . b, and its b gets slope 1/-2
+    original = verify.lyndon_factorization
+
+    def mutant(cw):
+        left, right = original(cw)
+        slope = Frac(right.slope.num, right.slope.den - 2 * left.slope.num)
+        return left, right._replace(slope=slope)
+
+    assert verify.check_factorization(6, 0).ok
+    monkeypatch.setattr(verify, "lyndon_factorization", mutant)
+    result = verify.check_factorization(6, 0)
+    assert not result.ok and result.detail.endswith("; first failure: 'b'")
+
+
+def test_lyndon_factorization_checks_that_is_lyndon_rejects(monkeypatch):
+    # accepting every word fails at the empty word, accepting every
+    # non-empty word at aa, the first that equals one of its rotations
+    for accepts, first in ((lambda w: True, "('is_lyndon', '')"), (bool, "('is_lyndon', 'aa')")):
+        monkeypatch.setattr(verify, "is_lyndon", accepts)
+        result = verify.check_factorization(6, 0)
+        assert not result.ok and result.detail.endswith(f"; first failure: {first}")
+
+
 def test_verdict_reads_only_up_to_the_first_failure():
     def cases():
         yield "abba"
