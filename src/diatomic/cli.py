@@ -44,9 +44,9 @@ from .christoffel import (
     lyndon_factorization,
 )
 from .distribution import histogram
-from .palindromes import _period_pair_capped, pal_closure, period_pair, psi, psi_inverse
+from .palindromes import pal_closure, period_pair, psi, psi_inverse
 from .stern import (
-    MARKED_OCCURRENCE_CAP,
+    _occurrence_count,
     marked_occurrences,
     stern,
     stern_via_christoffel,
@@ -308,11 +308,8 @@ def _cmd_stern(args: argparse.Namespace) -> int:
 
 def _cmd_occ(args: argparse.Namespace) -> int:
     w = _parse_word("word", args.word, args.alphabet)
-    # the row count, known before any row is built; past the cap it is
-    # only known to be past it, and marked_occurrences refuses with its
-    # own message
-    count = sum(_period_pair_capped(w, MARKED_OCCURRENCE_CAP))
-    if args.format == "text" and TEXT_ROW_LIMIT < count <= MARKED_OCCURRENCE_CAP:
+    count = _occurrence_count(w)
+    if args.format == "text" and count > TEXT_ROW_LIMIT:
         raise BudgetError(
             f"{count} rows exceed the text limit of {TEXT_ROW_LIMIT}; use --format json or csv"
         )

@@ -119,27 +119,19 @@ def period_pair(v: str) -> tuple[int, int]:
     return pa, pb
 
 
-#: ``_period_pair_capped`` compares with its cap once per this many
-#: letters, so its loop costs what period_pair's does.
-_CAP_STRIDE = 64
-
-
 def _period_pair_capped(v: str, cap: int) -> tuple[int, int]:
     # period_pair(v) while p_a + p_b stays at most ``cap``; past it, the
-    # pair of a prefix of v whose sum passes ``cap``, at most _CAP_STRIDE
-    # letters longer than the shortest such prefix.  The sum only grows,
-    # so a caller that compares it with ``cap`` refuses after that prefix
-    # (about 45 letters of alternation pass 2^30), not after all of v
-    pa = pb = 1
-    for start in range(0, len(v), _CAP_STRIDE):
-        for x in v[start : start + _CAP_STRIDE]:
-            if x == "a":
-                pb += pa
-            else:
-                pa += pb
-        if pa + pb > cap:
-            break
-    return pa, pb
+    # pair of the first of the prefixes of 64, 128, 256, ... letters whose
+    # sum passes ``cap``.  The sum only grows, so a caller that compares it
+    # with ``cap`` refuses after reading 64 letters, or under 4 times the
+    # shortest prefix past it (about 45 letters of alternation pass 2^30),
+    # not all of v
+    n = 64
+    while True:
+        pa, pb = period_pair(v[:n])
+        if pa + pb > cap or n >= len(v):
+            return pa, pb
+        n *= 2
 
 
 #: Images longer than this many letters copy their periods through a
@@ -174,14 +166,12 @@ def _fill(image: bytearray, letters: Iterable[str], start: int, stop: int) -> No
         n = end
 
 
-def _check_budget(length: int) -> int:
+def _check_budget(length: int, what: str = "palindromization image") -> int:
     # ``length``, after checking it against ``PSI_LENGTH_BUDGET``; the
-    # message names only the budget, as the length may have more digits
-    # than Python converts to a string
+    # message names ``what`` and only the budget, as the length may have
+    # more digits than Python converts to a string
     if length > PSI_LENGTH_BUDGET:
-        raise BudgetError(
-            f"palindromization image exceeds the budget of {PSI_LENGTH_BUDGET} letters"
-        )
+        raise BudgetError(f"{what} exceeds the budget of {PSI_LENGTH_BUDGET} letters")
     return length
 
 

@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple
 
 from .continuants import continuant
 from .palindromes import _period_pair_capped, period_pair
-from .words import BudgetError, complement, decode, encode, integral_rep, plus_prefix
+from .words import BudgetError, check_word, complement, decode, encode, integral_rep, plus_prefix
 
 
 def stern(n: int) -> int:
@@ -272,6 +272,15 @@ def stern_factor_identity(n: int) -> bool:
 MARKED_OCCURRENCE_CAP = 10**6
 
 
+def _occurrence_count(w: str) -> int:
+    # the row count of marked_occurrences(w), the Christoffel length of w,
+    # known before any row is built, and refused past the cap
+    count = sum(_period_pair_capped(w, MARKED_OCCURRENCE_CAP))
+    if count > MARKED_OCCURRENCE_CAP:
+        raise BudgetError(f"occurrences exceed the cap of {MARKED_OCCURRENCE_CAP}")
+    return count
+
+
 def marked_occurrences(w: str) -> tuple[str, list[tuple[int, ...]]]:
     """All occurrences of b(ab)* subwords in b w b, sorted by decreasing
     reversed position tuple and marked a (initial) or b (non-initial),
@@ -285,10 +294,10 @@ def marked_occurrences(w: str) -> tuple[str, list[tuple[int, ...]]]:
     >>> marked_occurrences("")
     ('ba', [(2,), (1,)])
 
-    The number of rows equals the Christoffel length of w, which is
-    checked against ``MARKED_OCCURRENCE_CAP`` before enumerating, by a
-    walk that stops within ``_CAP_STRIDE`` = 64 letters of the first
-    prefix past the cap.
+    A letter other than a and b raises ValueError.  The number of rows
+    equals the Christoffel length of w, checked against
+    ``MARKED_OCCURRENCE_CAP`` before enumerating by a walk over prefixes
+    of 64, 128, 256, ... letters that stops at the first past the cap.
     Reversed keys compare as tuples, a proper prefix ranking below its
     extensions, so the table is built sorted with nothing to sort.  The
     keys that start at the b in position j, in decreasing order, are:
@@ -299,9 +308,7 @@ def marked_occurrences(w: str) -> tuple[str, list[tuple[int, ...]]]:
     in decreasing order.  Every extension read yields a row, so no work
     is spent on letters that start nothing (a long run of a, say).
     """
-    predicted = sum(_period_pair_capped(w, MARKED_OCCURRENCE_CAP))
-    if predicted > MARKED_OCCURRENCE_CAP:
-        raise BudgetError(f"occurrences exceed the cap of {MARKED_OCCURRENCE_CAP}")
+    _occurrence_count(check_word(w))
     host = "b" + w + "b"
     a_at = [j for j, c in enumerate(host, 1) if c == "a"]
     b_at = [j for j, c in enumerate(host, 1) if c == "b"]

@@ -19,7 +19,7 @@ from . import palindromes
 from .continuants import cf_terms
 from .fracs import Frac
 from .palindromes import period_pair
-from .words import BudgetError, decode, encode
+from .words import decode, encode
 
 
 class TreeNode(NamedTuple):
@@ -99,9 +99,7 @@ def path_of_fraction(f: Frac | tuple[int, int], flavor: str = "raney") -> str:
     # steps p/(q-p), and so on, ending at 1/1 one step early
     terms = cf_terms(p, q)
     terms[-1] -= 1
-    budget = palindromes.PSI_LENGTH_BUDGET
-    if sum(terms) > budget:
-        raise BudgetError(f"tree path exceeds the budget of {budget} letters")
+    palindromes._check_budget(sum(terms), "tree path")
     up = "".join(x * c for x, c in zip(cycle("ba"), terms))
     # climbing visits the letters leaf-to-root: that order is the
     # Stern-Brocot path, its reversal the Raney path

@@ -8,6 +8,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diatomic import cli
 from diatomic.cli import main
@@ -264,6 +266,15 @@ def test_budget_refusal_names_only_the_bound(capsys, argv, bound):
     assert time.perf_counter() - start < 0.1
     assert (code, out) == (4, "")
     assert str(bound) in err and len(err) < 200
+
+
+def test_occ_refuses_a_long_single_run_as_text(capsys):
+    # 120,002 rows are within the cap but past the text limit
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "occ", "a" * 120_000)
+    assert time.perf_counter() - start < 0.1
+    assert (code, out, err) == (
+        4, "", "120002 rows exceed the text limit of 100000; use --format json or csv\n")
 
 
 LIMIT = sys.get_int_max_str_digits()
@@ -692,14 +703,90 @@ def test_shared_parser_keeps_no_state_between_calls(monkeypatch, cold_parser):
     assert shared[7] == shared[4] and shared[6] != shared[5]
 
 
+def listed_commands():
+    """The subcommands that the usage line of ``diatomic --help`` offers."""
+    usage = outcome(["--help"])[1].split("\n\n", 1)[0]
+    return re.findall(r"\{([^}]*)\}", usage)[-1].split(",")
+
+
 def test_shared_parser_help_matches_a_fresh_parser(monkeypatch, cold_parser):
     # the commands are those the usage line of --help offers, so a new one
     # is covered as soon as it has a subparser
-    usage = outcome(["--help"])[1].split("\n\n", 1)[0]
-    commands = re.findall(r"\{([^}]*)\}", usage)[-1].split(",")
+    commands = listed_commands()
     assert {"psi", "verify"} <= set(commands) and len(commands) >= 9
     argvs = [["--help"]] + [[command, "--help"] for command in commands]
     shared = [outcome(argv) for argv in argvs]
     assert shared == fresh_outcomes(monkeypatch, argvs)
     assert all(code == 0 and out.startswith("usage: diatomic") and not err
                for code, out, err in shared)
+
+
+# bounded random argv: words over a/b, 0/1 and letters of neither, the
+# empty word, integers and fractions in and out of range and malformed
+# ones, each command with the sizes that keep one call within a few ms
+ODD_INTEGERS = ["x", "1e3", " 7 ", "1_000"]  # the last two read as 7 and 1000
+WORD_TEXTS = st.one_of(st.text(alphabet="ab01c- ", max_size=20), st.sampled_from(["eps", ""]))
+
+
+def integer_texts(lo, hi):
+    return st.one_of(st.integers(lo, hi).map(str), st.sampled_from(ODD_INTEGERS))
+
+
+FRACTION_TEXTS = st.one_of(
+    st.builds("{}/{}".format, st.integers(-5, 10**4), st.integers(-5, 10**4)),
+    integer_texts(-5, 10**4),
+    st.sampled_from(["3/", "x/y", "1/2/3", "/4"]),
+)
+OPTIONAL_FLAVOR = st.sampled_from([[], ["--flavor", "raney"], ["--flavor", "sternbrocot"]])
+STERN_ARGS = st.one_of(
+    st.tuples(integer_texts(-5, 10**6), st.sampled_from(
+        [[], ["--method", "recurrence"], ["--method", "christoffel"], ["--method", "subwords"]])),
+    st.tuples(integer_texts(-5, 4096), st.sampled_from([["--method", "zeta"], ["--method", "all"]])),
+).map(lambda pair: [pair[0], *pair[1]])
+# verify would run up to the bounds " 7 " and "1_000" read as
+VERIFY_TEXTS = st.sampled_from(["x", "1e3"])
+ONE_WORD = WORD_TEXTS.map(lambda w: [w])
+ARGS_BY_COMMAND = {
+    "psi": ONE_WORD,
+    "closure": ONE_WORD,
+    "directive": ONE_WORD,
+    "occ": ONE_WORD,
+    "christoffel": st.one_of(
+        FRACTION_TEXTS.map(lambda f: [f"--slope={f}"]),
+        FRACTION_TEXTS.map(lambda f: ["--slope", f]),
+        WORD_TEXTS.map(lambda w: ["--directive", w]),
+    ),
+    "stern": STERN_ARGS,
+    "tree": st.builds(
+        lambda target, flavor: [*target, *flavor],
+        st.one_of(ONE_WORD, FRACTION_TEXTS.map(lambda f: ["--fraction", f])),
+        OPTIONAL_FLAVOR,
+    ),
+    "dist": integer_texts(-5, 14).map(lambda k: [k]),
+    "verify": st.builds(
+        lambda k, n: ["--max-k", k, "--max-n", n],
+        st.one_of(st.integers(-5, 4).map(str), VERIFY_TEXTS),
+        st.one_of(st.integers(-5, 64).map(str), VERIFY_TEXTS),
+    ),
+}
+GLOBAL_OPTIONS = st.builds(
+    lambda fmt, alphabet: [*fmt, *alphabet],
+    st.sampled_from([[], ["--format", "text"], ["--format", "json"], ["--format", "csv"]]),
+    st.sampled_from([[], ["--alphabet", "ab"], ["--alphabet", "01"]]),
+)
+
+
+def test_fuzzed_argv_covers_every_listed_command():
+    assert sorted(listed_commands()) == sorted(ARGS_BY_COMMAND)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.data())
+def test_fuzzed_argv_exits_with_a_documented_code(data):
+    options = data.draw(GLOBAL_OPTIONS)
+    command = data.draw(st.sampled_from(sorted(ARGS_BY_COMMAND)))
+    argv = [*options, command, *data.draw(ARGS_BY_COMMAND[command])]
+    code, _, err = outcome(argv)
+    may_disagree = command == "verify" or argv[-2:] == ["--method", "all"]
+    assert code in {0, 2, 3, 4, 5} or (code == 6 and may_disagree), argv
+    assert "Traceback" not in err

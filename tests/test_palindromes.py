@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -164,8 +165,7 @@ def test_psi_budget(monkeypatch):
     assert len(psi("ab" * 12)) == len(naive_psi("ab" * 12, pal_closure))
 
 
-def test_period_pair_capped_stops_within_a_stride_past_the_cap():
-    stride = palindromes._CAP_STRIDE
+def test_period_pair_capped_stops_at_the_first_doubled_prefix_past_the_cap():
     rng = random.Random(5)
     random_words = ["".join(rng.choices("ab", k=rng.randrange(300))) for _ in range(200)]
     for v in [*words_up_to(8), *random_words, "a" * 500, "ab" * 200]:
@@ -174,9 +174,10 @@ def test_period_pair_capped_stops_within_a_stride_past_the_cap():
             if sum(period_pair(v)) <= cap:
                 assert pair == period_pair(v)
             else:
-                # the shortest prefix past the cap, read to the end of its stride
-                i = next(i for i in range(len(v) + 1) if sum(period_pair(v[:i])) > cap)
-                assert pair == period_pair(v[: -(-i // stride) * stride])
+                # the least prefix of 64 * 2^j letters whose sum passes the cap
+                n = next(64 << j for j in itertools.count()
+                         if sum(period_pair(v[: 64 << j])) > cap)
+                assert pair == period_pair(v[:n])
 
 
 @pytest.mark.parametrize("build", [psi, palindromes.framed_psi], ids=["psi", "framed_psi"])
@@ -186,6 +187,17 @@ def test_psi_refuses_a_long_directive_after_a_prefix(build):
     start = time.perf_counter()
     with pytest.raises(BudgetError) as refused:
         build("ab" * 100_000)
+    assert time.perf_counter() - start < 0.1
+    assert str(refused.value) == (
+        f"palindromization image exceeds the budget of {PSI_LENGTH_BUDGET} letters")
+
+
+def test_psi_refuses_a_long_single_run_after_a_prefix():
+    # 100,000 a's and then b's: the image passes the budget within the
+    # first 11,000 or so b's, read through a few doubled prefixes
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as refused:
+        psi("a" * 100_000 + "b" * 11_000)
     assert time.perf_counter() - start < 0.1
     assert str(refused.value) == (
         f"palindromization image exceeds the budget of {PSI_LENGTH_BUDGET} letters")

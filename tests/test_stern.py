@@ -303,6 +303,13 @@ def test_marked_occurrences_refuses_a_long_word_after_a_prefix():
     assert str(refused.value) == f"occurrences exceed the cap of {MARKED_OCCURRENCE_CAP}"
 
 
+@pytest.mark.parametrize("w, letter, index", [("abc", "c", 2), ("a€", "€", 1), ("a b", " ", 1)])
+def test_marked_occurrences_refuses_other_letters(w, letter, index):
+    with pytest.raises(ValueError) as refused:
+        marked_occurrences(w)
+    assert str(refused.value) == f"not a word over {{a,b}}: letter {letter!r} at index {index}"
+
+
 def test_marked_occurrences_cap(monkeypatch):
     monkeypatch.setattr("diatomic.stern.MARKED_OCCURRENCE_CAP", 1000)
     with pytest.raises(BudgetError) as err:
