@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from diatomic import ChristoffelWord, cli, verify
+from diatomic import ChristoffelWord, cli, verify, words
 from diatomic.distribution import LengthHistogram, bound_report, counts_for_length
 from diatomic.fracs import Frac
 
@@ -217,6 +217,18 @@ PLANTED = {
     "tree-duality:tree_node": (
         verify.check_tree_duality, (6, 0), "tree_node", "ab",
         lambda node: node._replace(raney=node.raney.inverse), "('tree_node', 'ab')"),
+    "pattern-subword-counts": (
+        verify.check_subword_counts, (6, 0), "length_by_subword_count", "ab",
+        lambda length: length + 1, "'ab'"),
+    "pattern-subword-counts:period": (
+        verify.check_subword_counts, (6, 0), "period_by_subword_count", "ab",
+        lambda period: period + 1, "'ab'"),
+    # F(4) = 8 read as 9: the alternating directive aba has |C(aba)| = 8
+    "alternating-directives": (
+        verify.check_alternating_numbers, (6, 0), "fib", 4, lambda f: f + 1, "3"),
+    "integral-continuant-stern": (
+        verify.check_integral_continuant, (6, 0), "stern_via_integral_continuant", "ab",
+        lambda s: s + 1, "'ab'"),
 }
 
 
@@ -235,6 +247,23 @@ def test_a_planted_fault_names_its_case(
     verify._order.cache_clear()  # the clean run above filled it
     result = check(*bounds)
     assert not result.ok and result.detail.endswith(f"; first failure: {first}")
+
+
+def test_every_check_has_a_planted_fault():
+    # the checks whose planted faults have tests of their own
+    named_elsewhere = {"stern-identities", "length-bounds", "totient-identity",
+                       "fibonacci-word-prefix"}
+    planted = {key.partition(":")[0] for key in PLANTED}
+    assert planted | named_elsewhere == {r.name for r in verify.run_checks(0, 0)}
+
+
+def test_no_case_kind_selects_its_cases_through_is_constant(monkeypatch):
+    # a constant-word test that holds for every word must not leave the
+    # decomposition kind and the period comparison without a case
+    monkeypatch.setattr(words, "is_constant", lambda w: True)
+    monkeypatch.setattr(verify, "is_constant", lambda w: True, raising=False)
+    failed = {r.name for r in verify.run_checks(6, 64) if not r.ok}
+    assert {"odd-length-even-period", "pattern-subword-counts"} <= failed
 
 
 def test_histogram_checks_count_missing_lengths_without_listing_them(monkeypatch, fresh_orders):
