@@ -308,8 +308,7 @@ def _cmd_stern(args: argparse.Namespace) -> int:
 
 def _cmd_occ(args: argparse.Namespace) -> int:
     w = _parse_word("word", args.word, args.alphabet)
-    count = _occurrence_count(w)
-    if args.format == "text" and count > TEXT_ROW_LIMIT:
+    if args.format == "text" and (count := _occurrence_count(w)) > TEXT_ROW_LIMIT:
         raise BudgetError(
             f"{count} rows exceed the text limit of {TEXT_ROW_LIMIT}; use --format json or csv"
         )

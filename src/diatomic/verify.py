@@ -7,17 +7,17 @@ range controlled by ``max_k`` (word lengths / orders) and ``max_n``
 unit tests: they are the runnable summary behind the ``verify`` CLI
 command.
 
-Each check is declared once, with ``@_check(name, k=..., n=...)``: the
-runner clamps the bounds to the declared ``k`` and ``n`` and calls the
-body.  A body only declares its cases: it returns its detail, then one
-lazy iterable of failing cases per case kind, and the runner chains the
-kinds in that order.  No kind selects its cases through a route under
-test: a wrong route could then select no case at all, and its check
-would pass without comparing anything.  One verdict rule decides every
-check: it passes when there are no failing cases, and ends at the first
-one, which the detail of its FAIL then names.  An exception in a check
-fails that check alone, with the exception in its detail; the other
-checks still run.
+Each check is declared once, by ``@_check(name, k=..., n=...)`` over an
+anonymous ``def _``: that line gives the check its one name, the
+``__name__`` it prints, and clamps the bounds its body receives to ``k``
+and ``n``.  A body only declares its cases: it returns its detail, then
+one lazy iterable of failing cases per kind, chained in that order.  No
+kind selects its cases through a route under test: a wrong route could
+then select no case at all, and its check would pass without comparing
+anything.  One verdict rule decides every check: it passes when there
+are no failing cases, and ends at the first one, which its FAIL names.
+An exception fails its check alone, named in its detail.  ``ALL_CHECKS``
+keeps the checks in declaration order, a list the bench rewraps by index.
 
 The declared clamps stop word lengths and orders at 22 at most, and
 integer arguments at 2^16 (the Stern evaluators; every other integer
@@ -32,7 +32,7 @@ and, at short lengths, the per-length counts of the residue route.
 from __future__ import annotations
 
 import itertools
-from functools import cache, wraps
+from functools import cache
 from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -144,14 +144,14 @@ ALL_CHECKS: list[Callable[[int, int], CheckResult]] = []
 
 
 def _check(name: str, k: int = 0, n: int = 0):
-    """Declare the check ``name``: its body receives the bounds clamped to
-    ``k`` and ``n`` and returns its detail, then one lazy iterable of
-    failing cases per case kind.  The kinds are read in that order, up to
-    the first failing case.  No kind selects its cases through a route
+    """Declare the check ``name`` over an anonymous body ``def _``: the
+    check's ``__name__`` is the name it prints.  The body receives the
+    bounds clamped to ``k`` and ``n`` and returns its detail, then one
+    lazy iterable of failing cases per case kind, read in that order up
+    to the first failing case.  No kind selects its cases through a route
     that the check compares, or a wrong route could leave it none."""
 
     def declare(body: Callable[[int, int], tuple]):
-        @wraps(body)
         def check(max_k: int, max_n: int) -> CheckResult:
             try:
                 detail, *kinds = body(min(max_k, k), min(max_n, n))
@@ -159,6 +159,7 @@ def _check(name: str, k: int = 0, n: int = 0):
             except Exception as exc:
                 return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
 
+        check.__name__ = name
         ALL_CHECKS.append(check)
         return check
 
@@ -172,13 +173,13 @@ def _words_up_to(k: int) -> Iterator[str]:
 
 
 @_check("stern-prefix-values")
-def check_stern_prefix(_k: int, _n: int):
+def _(_k: int, _n: int):
     return "first 33 values", (n for n, value in enumerate(STERN_PREFIX) if stern(n) != value)
 
 
 # the one integer range past 2^14: its clamp sets the suite's ceiling
 @_check("stern-evaluator-agreement", n=2**16)
-def check_stern_evaluators(_k: int, limit: int):
+def _(_k: int, limit: int):
     zeta_limit, binomial, short = min(limit, 2048), min(limit, 256), min(limit, 128)
     return (
         f"recurrence = words = subwords on 0..{limit}, = continuant on 2..{zeta_limit},"
@@ -203,7 +204,7 @@ def check_stern_evaluators(_k: int, limit: int):
 
 
 @_check("odd-length-even-period", k=12)
-def check_odd_even_correspondence(k: int, _n: int):
+def _(k: int, _n: int):
     short = min(k, 10)
     return (
         f"s at <bwb>, <bwb>+1 for |w| <= {k}, length decompositions for |v| <= {short}",
@@ -222,7 +223,7 @@ def check_odd_even_correspondence(k: int, _n: int):
 
 
 @_check("palindromization-composition", k=10)
-def check_palindromization_composition(bound: int, _n: int):
+def _(bound: int, _n: int):
     short = min(bound, 8)
     image = {w: psi(w) for w in _words_up_to(bound)}
     return (
@@ -245,7 +246,7 @@ def check_palindromization_composition(bound: int, _n: int):
 
 
 @_check("directive-roundtrips", k=12, n=200)
-def check_directive_roundtrip(k: int, limit: int):
+def _(k: int, limit: int):
     short = min(k, 10)
     image = {v: psi(v) for v in _words_up_to(k)}
     # every central word of at most ``short`` letters has a directive as short
@@ -285,7 +286,7 @@ def check_directive_roundtrip(k: int, limit: int):
 
 
 @_check("lyndon-factorization", k=10)
-def check_factorization(k: int, _n: int):
+def _(k: int, _n: int):
     short = min(k, 8)
 
     def fails(v: str) -> bool:
@@ -325,14 +326,14 @@ def check_factorization(k: int, _n: int):
 
 
 @_check("occurrence-markers", k=10)
-def check_occurrence_markers(k: int, _n: int):
+def _(k: int, _n: int):
     return f"sorted markers spell psi(w)ba for |w| <= {k}", (
         w for w in _words_up_to(k) if marked_occurrences(w)[0] != psi(w) + "ba"
     )
 
 
 @_check("pattern-subword-counts", k=12)
-def check_subword_counts(k: int, _n: int):
+def _(k: int, _n: int):
     return f"lengths, letter counts and periods for |v| <= {k}", (
         v for v in _words_up_to(k)
         if length_by_subword_count(v) != sum(period_pair(v))
@@ -342,7 +343,7 @@ def check_subword_counts(k: int, _n: int):
 
 
 @_check("weighted-factor-decomposition", k=12, n=512)
-def check_factor_decomposition(k: int, limit: int):
+def _(k: int, limit: int):
     short = min(k, 6)
     return (
         f"totals equal lengths for |w| <= {k}, factor counts for |w| <= {short},"
@@ -363,7 +364,7 @@ def check_factor_decomposition(k: int, limit: int):
 
 
 @_check("tree-duality", k=12)
-def check_tree_duality(k: int, _n: int):
+def _(k: int, _n: int):
     short = min(k, 10)
     return (
         f"reversal, complement inversion, path inverse for |w| <= {k},"
@@ -384,14 +385,14 @@ def check_tree_duality(k: int, _n: int):
 
 
 @_check("mirror-formula", k=12)
-def check_mirror_formula(k: int, _n: int):
+def _(k: int, _n: int):
     return f"continued fractions match tree labels for |v| <= {k}", (
         v for v in _words_up_to(k) if mirror_formula(v) != (stern_brocot(v), raney(v))
     )
 
 
 @_check("continuant-length-period", k=14)
-def check_continuant_length(k: int, _n: int):
+def _(k: int, _n: int):
     return f"continuant route for |v| <= {k}", (
         v for v in _words_up_to(k)
         if christoffel_length_cf(v) != (sum(period_pair(v)), min_period_central(v))
@@ -399,14 +400,14 @@ def check_continuant_length(k: int, _n: int):
 
 
 @_check("tree-numbering-stern", n=4096)
-def check_ra_numbering(_k: int, limit: int):
+def _(_k: int, limit: int):
     return f"ra(n) = s(n-1)/s(n) for n <= {limit}", (
         n for n in range(2, limit + 1) if ra_of(n) != (stern(n - 1), stern(n))
     )
 
 
 @_check("stern-identities", k=13, n=4096)
-def check_stern_identities(top: int, limit: int):
+def _(top: int, limit: int):
     return (
         f"bit reversal, symmetry, quotient steps for n <= {limit},"
         f" symmetry k <= {min(top, 12)}, zigzag 3 <= k <= {top}",
@@ -435,7 +436,7 @@ def check_stern_identities(top: int, limit: int):
 
 
 @_check("integral-continuant-stern", k=12)
-def check_integral_continuant(k: int, _n: int):
+def _(k: int, _n: int):
     short = min(k, 10)
     return (
         f"s(nu(w)) continuant for |w| <= {k}, word_of inverts integral_rep for |w| <= {short}",
@@ -483,7 +484,7 @@ def _order(k: int) -> _OrderFigures:
 
 
 @_check("histogram-invariants", k=22)
-def check_histograms(top: int, _n: int):
+def _(top: int, _n: int):
     return f"mass 2^k, weighted mass 2*3^k for k <= {top}", (
         k for k in range(top + 1)
         for f in [_order(k)]
@@ -493,7 +494,7 @@ def check_histograms(top: int, _n: int):
 
 
 @_check("published-table-pins", k=22)
-def check_tables(top: int, _n: int):
+def _(top: int, _n: int):
     return (
         f"max counts and missing lengths for k <= {top},"
         f" golden-ratio lower bound for k <= {max(MAX_COUNT_TABLE)}",
@@ -513,14 +514,14 @@ def check_tables(top: int, _n: int):
 
 
 @_check("length-bounds", k=22)
-def check_bounds(top: int, _n: int):
+def _(top: int, _n: int):
     return f"extremal classes for 3 <= k <= {top}", (
         k for k in range(3, top + 1) if not _order(k).bounds_passed
     )
 
 
 @_check("totient-identity", k=22, n=_SHORT_LENGTHS)
-def check_totient(top: int, limit: int):
+def _(top: int, limit: int):
     by_length = {n: counts_for_length(n) for n in range(2, limit + 1)}
     return (
         f"order sums equal phi(n), orders equal histograms for n <= {limit}, k <= {top}",
@@ -534,7 +535,7 @@ def check_totient(top: int, limit: int):
 
 
 @_check("fibonacci-word-prefix")
-def check_fibonacci_word(_k: int, _n: int):
+def _(_k: int, _n: int):
     target = psi("ab" * 6)
     prefix = psi_prefix("", "ab", len(target))
     return (
@@ -546,7 +547,7 @@ def check_fibonacci_word(_k: int, _n: int):
 
 
 @_check("alternating-directives", k=16)
-def check_alternating_numbers(top: int, _n: int):
+def _(top: int, _n: int):
     return f"tree numbers and Fibonacci lengths for k <= {top}", (
         k for k in range(1, top + 1)
         if encode("b" + ("ab" * k)[: k - 1] + "b") != (2 ** (k + 2) + (-1) ** (k + 1)) // 3

@@ -2,6 +2,8 @@ import itertools
 
 import pytest
 
+from diatomic import verify
+
 
 def words_up_to(k):
     """All binary words of length at most k, shortest first."""
@@ -13,6 +15,12 @@ def words_up_to(k):
 def words_of_length(k):
     for letters in itertools.product("ab", repeat=k):
         yield "".join(letters)
+
+
+def check(name):
+    """The ``verify`` check that prints ``name``, read from the registry
+    at call time, so a patched ``verify.ALL_CHECKS`` is searched too."""
+    return next(c for c in verify.ALL_CHECKS if c.__name__ == name)
 
 
 @pytest.fixture(scope="session")

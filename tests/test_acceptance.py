@@ -11,7 +11,7 @@ decided by the same verdict rule, so it names its first failing case too.
 
 import time
 
-from conftest import words_of_length
+from conftest import check, words_of_length
 from diatomic import (
     almost_alternating,
     alternating,
@@ -52,14 +52,14 @@ def report(number, start, results, budget=None):
 
 def test_criterion_01_stern_prefix():
     start = time.perf_counter()
-    report(1, start, [verify.check_stern_prefix(0, 0)], 0.001)
+    report(1, start, [check("stern-prefix-values")(0, 0)], 0.001)
 
 
 def test_criterion_02_evaluator_agreement():
     # the check's continuant route stops at its clamp, 2048; one sweep goes on to 5000
     start = time.perf_counter()
     results = [
-        verify.check_stern_evaluators(0, 2**14),
+        check("stern-evaluator-agreement")(0, 2**14),
         verify._verdict(
             "continuant-sweep", "continuant = recurrence on 2..5000",
             (n for n, value in enumerate(zeta_sterns(5000), start=2) if stern(n) != value),
@@ -88,7 +88,7 @@ def test_criterion_03_worked_example():
 
 def test_criterion_04_odd_even_correspondence():
     start = time.perf_counter()
-    report(4, start, [verify.check_odd_even_correspondence(12, 0)], 20.0)
+    report(4, start, [check("odd-length-even-period")(12, 0)], 20.0)
 
 
 def test_criterion_05_marked_occurrences():
@@ -101,7 +101,7 @@ def test_criterion_05_marked_occurrences():
         first_keys=rows[:3] == [
             (7, 6, 4, 2, 1), (7, 6, 4), (7, 6, 3, 2, 1)],
     )
-    report(5, start, [verify.check_occurrence_markers(10, 0), spot], 60.0)
+    report(5, start, [check("occurrence-markers")(10, 0), spot], 60.0)
 
 
 def test_criterion_06_factor_decomposition():
@@ -111,28 +111,29 @@ def test_criterion_06_factor_decomposition():
         weight * count for _, _, weight, count in d.multi_a]
     spot = facts("ababa-parts", "4 + 3 + 6 + 8 = 21",
                  parts=parts == [4, 3, 6, 8], total=sum(parts) == 21 == d.total)
-    report(6, start, [verify.check_factor_decomposition(12, 0), spot])
+    report(6, start, [check("weighted-factor-decomposition")(12, 0), spot])
 
 
 def test_criterion_07_trees():
     start = time.perf_counter()
     results = [
-        verify.check_tree_duality(12, 0),
-        verify.check_mirror_formula(12, 0),
-        verify.check_ra_numbering(0, 2**12),
+        check("tree-duality")(12, 0),
+        check("mirror-formula")(12, 0),
+        check("tree-numbering-stern")(0, 2**12),
     ]
     report(7, start, results)
 
 
 def test_criterion_08_continuant_length_period():
     start = time.perf_counter()
-    report(8, start, [verify.check_continuant_length(14, 0)])
+    report(8, start, [check("continuant-length-period")(14, 0)])
 
 
 def test_criterion_09_distribution_tables():
     verify._order.cache_clear()
     start = time.perf_counter()
-    report(9, start, [verify.check_histograms(14, 0), verify.check_tables(14, 0)], 120.0)
+    results = [check("histogram-invariants")(14, 0), check("published-table-pins")(14, 0)]
+    report(9, start, results, 120.0)
 
 
 def test_criterion_10_length_bounds():
@@ -147,15 +148,15 @@ def test_criterion_10_length_bounds():
             (k for k in range(3, 15) if sum(period_pair(alternating(k))) != fib(k + 1)),
         ),
     ]
-    report(10, start, [verify.check_bounds(14, 0), *spots])
+    report(10, start, [check("length-bounds")(14, 0), *spots])
 
 
 def test_criterion_11_identities():
     # the check's bit reversal stops at its clamp, 4096; the range goes on to 2^14
     start = time.perf_counter()
     results = [
-        verify.check_stern_identities(13, 2**12),
-        verify.check_totient(14, 300),
+        check("stern-identities")(13, 2**12),
+        check("totient-identity")(14, 300),
         verify._verdict(
             "bit-reversal", "s(n) = s(rev n) on 4097..2^14",
             (n for n in range(4097, 2**14 + 1) if stern(n) != stern(reverse_bits(n))),
@@ -166,4 +167,4 @@ def test_criterion_11_identities():
 
 def test_criterion_12_fibonacci_word():
     start = time.perf_counter()
-    report(12, start, [verify.check_fibonacci_word(0, 0)])
+    report(12, start, [check("fibonacci-word-prefix")(0, 0)])

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import check
 from diatomic import cli
 from diatomic.cli import main
 from diatomic.distribution import MAX_ENUMERATED_ORDER
@@ -410,6 +411,26 @@ def test_occ_text_limit_refuses_before_enumerating(capsys, monkeypatch):
     assert err == "560597 rows exceed the text limit of 100000; use --format json or csv\n"
 
 
+@pytest.mark.parametrize("fmt, calls", [("json", 1), ("csv", 1), ("text", 2)])
+def test_occ_counts_its_occurrences_once_unless_text(capsys, monkeypatch, fmt, calls):
+    # only text reads the count for its row limit; marked_occurrences
+    # reads it for the cap in every format
+    counted = []
+    original = cli._occurrence_count
+
+    def counting(w):
+        counted.append(w)
+        return original(w)
+
+    monkeypatch.setattr(cli, "_occurrence_count", counting)
+    monkeypatch.setattr("diatomic.stern._occurrence_count", counting)
+    assert run_cli(capsys, "--format", fmt, "occ", "abab")[0] == 0
+    assert counted == ["abab"] * calls
+    # past the cap, each format is refused with the same message
+    code, out, err = run_cli(capsys, "--format", fmt, "occ", "ab" * 11000)
+    assert (code, out, err) == (4, "", f"occurrences exceed the cap of {MARKED_OCCURRENCE_CAP}\n")
+
+
 def test_dist_text(capsys):
     code, out, _ = run_cli(capsys, "dist", "3")
     assert code == 0
@@ -562,7 +583,7 @@ def test_verify_failure_in_every_format(capsys, monkeypatch):
     def broken(max_k, max_n):
         return verify.CheckResult("broken", False, "always fails")
 
-    monkeypatch.setattr(verify, "ALL_CHECKS", [verify.check_stern_prefix, broken])
+    monkeypatch.setattr(verify, "ALL_CHECKS", [check("stern-prefix-values"), broken])
     code, out, _ = run_cli(capsys, "verify")
     assert code == 6
     assert out.splitlines()[1:] == ["FAIL  broken  (always fails)", "1/2 checks passed"]

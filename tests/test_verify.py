@@ -1,8 +1,11 @@
+import json
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from conftest import check
 from diatomic import ChristoffelWord, cli, verify, words
 from diatomic.distribution import LengthHistogram, bound_report, counts_for_length
 from diatomic.fracs import Frac
@@ -25,23 +28,23 @@ def test_histogram_checks_build_each_order_once(monkeypatch, fresh_orders):
         return original(k, *args)
 
     monkeypatch.setattr(verify, "histogram", counted)
-    assert verify.check_histograms(12, 0).ok
-    assert verify.check_tables(12, 0).ok
-    assert verify.check_bounds(12, 0).ok
-    assert verify.check_totient(12, 300).ok
+    assert check("histogram-invariants")(12, 0).ok
+    assert check("published-table-pins")(12, 0).ok
+    assert check("length-bounds")(12, 0).ok
+    assert check("totient-identity")(12, 300).ok
     assert calls == {k: 1 for k in range(13)}
 
 
 def test_directive_roundtrip_catches_a_wrong_slope_word(monkeypatch):
     # the word of slope q/p, returned as is and relabelled p/q
-    assert verify.check_directive_roundtrip(0, 20).ok
+    assert check("directive-roundtrips")(0, 20).ok
     original = verify.christoffel_by_slope
     for swapped in (
         lambda p, q: original(q, p),
         lambda p, q: original(q, p)._replace(slope=Frac(p, q)),
     ):
         monkeypatch.setattr(verify, "christoffel_by_slope", swapped)
-        result = verify.check_directive_roundtrip(0, 20)
+        result = check("directive-roundtrips")(0, 20)
         assert not result.ok and result.detail.endswith("; first failure: ('slope', 1, 2)")
 
 
@@ -58,7 +61,7 @@ def test_directive_roundtrip_catches_a_wrong_word_with_the_right_directive(monke
             return cw._replace(word=swap(cw.word))
 
         monkeypatch.setattr(verify, "christoffel_by_slope", swapped)
-        result = verify.check_directive_roundtrip(0, 20)
+        result = check("directive-roundtrips")(0, 20)
         assert not result.ok and result.detail.endswith(f"; first failure: {first}")
 
 
@@ -73,9 +76,9 @@ def test_lyndon_factorization_compares_factor_records(monkeypatch):
         slope = Frac(right.slope.num, right.slope.den - 2 * left.slope.num)
         return left, right._replace(slope=slope)
 
-    assert verify.check_factorization(6, 0).ok
+    assert check("lyndon-factorization")(6, 0).ok
     monkeypatch.setattr(verify, "lyndon_factorization", mutant)
-    result = verify.check_factorization(6, 0)
+    result = check("lyndon-factorization")(6, 0)
     assert not result.ok and result.detail.endswith("; first failure: 'b'")
 
 
@@ -84,7 +87,7 @@ def test_lyndon_factorization_checks_that_is_lyndon_rejects(monkeypatch):
     # non-empty word at aa, the first that equals one of its rotations
     for accepts, first in ((lambda w: True, "('is_lyndon', '')"), (bool, "('is_lyndon', 'aa')")):
         monkeypatch.setattr(verify, "is_lyndon", accepts)
-        result = verify.check_factorization(6, 0)
+        result = check("lyndon-factorization")(6, 0)
         assert not result.ok and result.detail.endswith(f"; first failure: {first}")
 
 
@@ -104,7 +107,7 @@ def test_failures_name_their_first_case(monkeypatch, fresh_orders):
     monkeypatch.setattr(
         verify, "stern_via_subwords", lambda n: original_subwords(n) + (n == 37)
     )
-    result = verify.check_stern_evaluators(0, 64)
+    result = check("stern-evaluator-agreement")(0, 64)
     assert not result.ok and result.detail.endswith("; first failure: 37")
 
     original_report = verify.bound_report_histogram
@@ -113,130 +116,107 @@ def test_failures_name_their_first_case(monkeypatch, fresh_orders):
         "bound_report_histogram",
         lambda h: original_report(h)._replace(least_length_ok=h.order != 5),
     )
-    result = verify.check_bounds(8, 0)
+    result = check("length-bounds")(8, 0)
     assert not result.ok and result.detail.endswith("; first failure: 5")
 
     monkeypatch.setattr(verify, "ruler", lambda n: 0)
-    result = verify.check_stern_identities(4, 64)
+    result = check("stern-identities")(4, 64)
     assert not result.ok and result.detail.endswith("; first failure: ('quotient', 2)")
 
 
 SWAP_LETTERS = str.maketrans("ab", "ba")
 
-#: For each check, or one case of it after the colon: its bounds, the
-#: route planted wrong, the one argument it is wrong at, how it is wrong
-#: there, and the case the FAIL names.
+#: For each check by its name, or one case of it after the colon: its
+#: bounds, the route planted wrong, the one argument it is wrong at, how
+#: it is wrong there, and the case the FAIL names.
 PLANTED = {
-    "stern-prefix-values": (verify.check_stern_prefix, (0, 0), "stern", 20, lambda s: s + 1, "20"),
+    "stern-prefix-values": ((0, 0), "stern", 20, lambda s: s + 1, "20"),
     # zeta(5) = 1 read as 2: the continuant over zeta(1..5) is s(6) + s(5)
-    "stern-evaluator-agreement:zeta": (
-        verify.check_stern_evaluators, (0, 64), "zeta", 5, lambda z: z + 1, "('zeta', 6)"),
+    "stern-evaluator-agreement:zeta": ((0, 64), "zeta", 5, lambda z: z + 1, "('zeta', 6)"),
     "odd-length-even-period": (
-        verify.check_odd_even_correspondence, (6, 0), "period_pair", "ab",
-        lambda pair: (pair[0] + 1, pair[1]), "'ab'"),
+        (6, 0), "period_pair", "ab", lambda pair: (pair[0] + 1, pair[1]), "'ab'"),
     # psi("a") "b" closed to "bab" instead of "aba"
     "palindromization-composition": (
-        verify.check_palindromization_composition, (6, 0), "pal_closure", "ab",
+        (6, 0), "pal_closure", "ab",
         lambda closed: closed.translate(SWAP_LETTERS), "('closure', 'ab')"),
     # the border route one too long on psi("ab") = "aba"
     "palindromization-composition:period": (
-        verify.check_palindromization_composition, (6, 0), "min_period", "aba",
-        lambda period: period + 1, "('period', 'ab')"),
+        (6, 0), "min_period", "aba", lambda period: period + 1, "('period', 'ab')"),
     # "ab" is not central, and read back as its own directive
-    "directive-roundtrips": (
-        verify.check_directive_roundtrip, (6, 0), "psi_inverse", "ab",
-        lambda v: "ab", "('central', 'ab')"),
+    "directive-roundtrips": ((6, 0), "psi_inverse", "ab", lambda v: "ab", "('central', 'ab')"),
     # the a...b frame test dropped: "bab" read as b . psi("a") . b
     "directive-roundtrips:christoffel": (
-        verify.check_directive_roundtrip, (6, 0), "christoffel_of_word", "bab",
+        (6, 0), "christoffel_of_word", "bab",
         lambda _: ChristoffelWord("bab", Frac(2, 1), "a"), "('christoffel', 'bab')"),
     # "ab" rejected as a standard word
     "directive-roundtrips:standard": (
-        verify.check_directive_roundtrip, (6, 0), "is_standard", "ab",
-        lambda ok: not ok, "('standard', 'ab')"),
+        (6, 0), "is_standard", "ab", lambda ok: not ok, "('standard', 'ab')"),
     # the sequence b, a, ab, aba built with its last word bab
     "directive-roundtrips:standard_by_coefficients": (
-        verify.check_directive_roundtrip, (6, 0), "standard_by_coefficients", (1, 1),
+        (6, 0), "standard_by_coefficients", (1, 1),
         lambda seq: [*seq[:-1], seq[-1].translate(SWAP_LETTERS)], "('standard', 'aba')"),
     # the directive route's word of "ab" with its letters swapped
     "lyndon-factorization": (
-        verify.check_factorization, (6, 0), "christoffel_by_directive", "ab",
+        (6, 0), "christoffel_by_directive", "ab",
         lambda cw: cw._replace(word=cw.word.translate(SWAP_LETTERS)), "'ab'"),
     # p_a("ab") = 3 read as 4: the word of slope 2/3 splits at 2^-1 mod 5 = 3
     "lyndon-factorization:split": (
-        verify.check_factorization, (6, 0), "period_pair", "ab",
-        lambda pair: (pair[0] + 1, pair[1]), "'ab'"),
+        (6, 0), "period_pair", "ab", lambda pair: (pair[0] + 1, pair[1]), "'ab'"),
     # the word of directive "a", "aab", not taken for a Lyndon word
-    "lyndon-factorization:lyndon": (
-        verify.check_factorization, (6, 0), "is_lyndon", "aab", lambda ok: not ok, "'a'"),
+    "lyndon-factorization:lyndon": ((6, 0), "is_lyndon", "aab", lambda ok: not ok, "'a'"),
     "occurrence-markers": (
-        verify.check_occurrence_markers, (6, 0), "marked_occurrences", "abb",
+        (6, 0), "marked_occurrences", "abb",
         lambda table: (table[0].translate(SWAP_LETTERS), table[1]), "'abb'"),
     "weighted-factor-decomposition": (
-        verify.check_factor_decomposition, (6, 64), "factor_decomposition", "bab",
+        (6, 64), "factor_decomposition", "bab",
         lambda d: d._replace(base=d.base + 1), "('factors', 'bab')"),
-    "tree-duality": (
-        verify.check_tree_duality, (6, 0), "stern_brocot", "ab",
-        lambda label: label.inverse, "'ab'"),
+    "tree-duality": ((6, 0), "stern_brocot", "ab", lambda label: label.inverse, "'ab'"),
     "mirror-formula": (
-        verify.check_mirror_formula, (6, 0), "mirror_formula", "ab",
-        lambda labels: (labels[0].inverse, labels[1]), "'ab'"),
-    "tree-numbering-stern": (
-        verify.check_ra_numbering, (0, 64), "ra_of", 37, lambda label: label.inverse, "37"),
+        (6, 0), "mirror_formula", "ab", lambda labels: (labels[0].inverse, labels[1]), "'ab'"),
+    "tree-numbering-stern": ((0, 64), "ra_of", 37, lambda label: label.inverse, "37"),
     "continuant-length-period": (
-        verify.check_continuant_length, (6, 0), "christoffel_length_cf", "abb",
-        lambda pair: (pair[0] + 1, pair[1]), "'abb'"),
+        (6, 0), "christoffel_length_cf", "abb", lambda pair: (pair[0] + 1, pair[1]), "'abb'"),
     # (0, 1, 1, 1, 0) spelled "abab" instead of "aba"
     "integral-continuant-stern:word_of": (
-        verify.check_integral_continuant, (6, 0), "word_of", (0, 1, 1, 1, 0),
-        lambda w: w + "b", "('word_of', 'aba')"),
+        (6, 0), "word_of", (0, 1, 1, 1, 0), lambda w: w + "b", "('word_of', 'aba')"),
     # one word of order 5 counted twice: the mass is 2^5 + 1
     "histogram-invariants": (
-        verify.check_histograms, (8, 0), "histogram", 5,
-        lambda h: h._replace(counts={**h.counts, 99: 1}), "5"),
+        (8, 0), "histogram", 5, lambda h: h._replace(counts={**h.counts, 99: 1}), "5"),
     # the count at the published argmax of order 7, 41, one too high
     "published-table-pins": (
-        verify.check_tables, (8, 0), "histogram", 7,
+        (8, 0), "histogram", 7,
         lambda h: h._replace(counts={**h.counts, 41: h.counts[41] + 1}), "7"),
     # +(ab) read as a, not the empty word: |C(b)| + |C(a)| = 6, but |C(ab)| = 5
     "odd-length-even-period:decomposition": (
-        verify.check_odd_even_correspondence, (6, 0), "plus_suffix", "ab",
-        lambda suffix: suffix + "a", "('decomposition', 'ab')"),
+        (6, 0), "plus_suffix", "ab", lambda suffix: suffix + "a", "('decomposition', 'ab')"),
     # b and bab each counted once too often in bab, the binary expansion of 5
     "stern-evaluator-agreement:subword_binomial": (
-        verify.check_stern_evaluators, (0, 64), "subword_binomial", "bab",
-        lambda count: count + 1, "('subword_binomial', 5)"),
+        (0, 64), "subword_binomial", "bab", lambda count: count + 1, "('subword_binomial', 5)"),
     "stern-evaluator-agreement:stern_via_zeta": (
-        verify.check_stern_evaluators, (0, 64), "stern_via_zeta", 37,
-        lambda s: s + 1, "('stern_via_zeta', 37)"),
+        (0, 64), "stern_via_zeta", 37, lambda s: s + 1, "('stern_via_zeta', 37)"),
     # bab counted twice in bab = b a b, the host of the directive a
     "weighted-factor-decomposition:factor_count": (
-        verify.check_factor_decomposition, (6, 64), "factor_count", "bab",
-        lambda count: count + 1, "('factor_count', 'a')"),
+        (6, 64), "factor_count", "bab", lambda count: count + 1, "('factor_count', 'a')"),
     # the node ab labelled with the inverse of its Raney label
     "tree-duality:tree_node": (
-        verify.check_tree_duality, (6, 0), "tree_node", "ab",
+        (6, 0), "tree_node", "ab",
         lambda node: node._replace(raney=node.raney.inverse), "('tree_node', 'ab')"),
     "pattern-subword-counts": (
-        verify.check_subword_counts, (6, 0), "length_by_subword_count", "ab",
-        lambda length: length + 1, "'ab'"),
+        (6, 0), "length_by_subword_count", "ab", lambda length: length + 1, "'ab'"),
     "pattern-subword-counts:period": (
-        verify.check_subword_counts, (6, 0), "period_by_subword_count", "ab",
-        lambda period: period + 1, "'ab'"),
+        (6, 0), "period_by_subword_count", "ab", lambda period: period + 1, "'ab'"),
     # F(4) = 8 read as 9: the alternating directive aba has |C(aba)| = 8
-    "alternating-directives": (
-        verify.check_alternating_numbers, (6, 0), "fib", 4, lambda f: f + 1, "3"),
+    "alternating-directives": ((6, 0), "fib", 4, lambda f: f + 1, "3"),
     "integral-continuant-stern": (
-        verify.check_integral_continuant, (6, 0), "stern_via_integral_continuant", "ab",
-        lambda s: s + 1, "'ab'"),
+        (6, 0), "stern_via_integral_continuant", "ab", lambda s: s + 1, "'ab'"),
 }
 
 
-@pytest.mark.parametrize("check, bounds, route, at, wrong, first", PLANTED.values(), ids=PLANTED)
-def test_a_planted_fault_names_its_case(
-    monkeypatch, fresh_orders, check, bounds, route, at, wrong, first
-):
-    assert check(*bounds).ok
+@pytest.mark.parametrize("key", PLANTED)
+def test_a_planted_fault_names_its_case(monkeypatch, fresh_orders, key):
+    bounds, route, at, wrong, first = PLANTED[key]
+    run = check(key.partition(":")[0])
+    assert run(*bounds).ok
     original = getattr(verify, route)
 
     def planted(x, *rest):  # wrong at the argument ``at`` alone
@@ -245,8 +225,18 @@ def test_a_planted_fault_names_its_case(
 
     monkeypatch.setattr(verify, route, planted)
     verify._order.cache_clear()  # the clean run above filled it
-    result = check(*bounds)
+    result = run(*bounds)
     assert not result.ok and result.detail.endswith(f"; first failure: {first}")
+
+
+def test_each_check_has_one_name_the_one_it_prints():
+    names = [c.__name__ for c in verify.ALL_CHECKS]
+    assert names == [r.name for r in verify.run_checks(0, 0)]
+    assert [attr for attr in dir(verify) if attr.startswith("check_")] == []
+    # the bench names each check's span "verify." + __name__
+    bench = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    layers = [m["name"] for m in bench["per_layer"] if m["name"].startswith("verify.")]
+    assert [f"verify.{name}.s" for name in names] == layers
 
 
 def test_every_check_has_a_planted_fault():
@@ -254,7 +244,7 @@ def test_every_check_has_a_planted_fault():
     named_elsewhere = {"stern-identities", "length-bounds", "totient-identity",
                        "fibonacci-word-prefix"}
     planted = {key.partition(":")[0] for key in PLANTED}
-    assert planted | named_elsewhere == {r.name for r in verify.run_checks(0, 0)}
+    assert planted | named_elsewhere == {c.__name__ for c in verify.ALL_CHECKS}
 
 
 def test_no_case_kind_selects_its_cases_through_is_constant(monkeypatch):
@@ -271,13 +261,13 @@ def test_histogram_checks_count_missing_lengths_without_listing_them(monkeypatch
         raise AssertionError("the missing lengths were listed")
 
     monkeypatch.setattr(LengthHistogram, "missing", property(unlisted))
-    assert verify.check_tables(12, 0).ok
-    assert verify.check_bounds(12, 0).ok
+    assert check("published-table-pins")(12, 0).ok
+    assert check("length-bounds")(12, 0).ok
     assert bound_report(8).passed
 
 
 def test_totient_identity(fresh_orders):
-    result = verify.check_totient(16, 300)
+    result = check("totient-identity")(16, 300)
     assert result == verify.CheckResult(
         "totient-identity", True,
         "order sums equal phi(n), orders equal histograms for n <= 300, k <= 16",
@@ -289,7 +279,7 @@ def test_totient_identity_names_its_first_case(monkeypatch, fresh_orders):
     # sum still equals phi(n), so only the histogram route catches it
     original_totient = verify.totient
     monkeypatch.setattr(verify, "totient", lambda n: original_totient(n) + (n == 37))
-    result = verify.check_totient(12, 64)
+    result = check("totient-identity")(12, 64)
     assert not result.ok and result.detail.endswith("; first failure: ('totient', 37)")
 
     monkeypatch.setattr(verify, "totient", original_totient)
@@ -298,35 +288,35 @@ def test_totient_identity_names_its_first_case(monkeypatch, fresh_orders):
         "counts_for_length",
         lambda n: {k + (n == 40): c for k, c in counts_for_length(n).items()},
     )
-    result = verify.check_totient(12, 64)
+    result = check("totient-identity")(12, 64)
     first = min(counts_for_length(40))
     assert not result.ok and result.detail.endswith(f"; first failure: ('histogram', 40, {first})")
 
 
 def test_stern_evaluators_clamp_max_n():
     start = time.perf_counter()
-    result = verify.check_stern_evaluators(0, 10**8)
+    result = check("stern-evaluator-agreement")(0, 10**8)
     assert time.perf_counter() - start < 2
     assert result.ok and "on 0..65536," in result.detail
 
 
 def test_details_name_every_range_they_run():
-    assert verify.check_factor_decomposition(12, 512) == verify.CheckResult(
+    assert check("weighted-factor-decomposition")(12, 512) == verify.CheckResult(
         "weighted-factor-decomposition", True,
         "totals equal lengths for |w| <= 12, factor counts for |w| <= 6,"
         " factor-occurrence form of s(n) for n <= 512",
     )
-    assert verify.check_stern_identities(13, 4096) == verify.CheckResult(
+    assert check("stern-identities")(13, 4096) == verify.CheckResult(
         "stern-identities", True,
         "bit reversal, symmetry, quotient steps for n <= 4096,"
         " symmetry k <= 12, zigzag 3 <= k <= 13",
     )
-    assert verify.check_stern_evaluators(0, 100) == verify.CheckResult(
+    assert check("stern-evaluator-agreement")(0, 100) == verify.CheckResult(
         "stern-evaluator-agreement", True,
         "recurrence = words = subwords on 0..100, = continuant on 2..100,"
         " = pattern subword counts on 0..100, = continuant of zeta and stern_via_zeta on 2..100",
     )
-    assert verify.check_integral_continuant(12, 0) == verify.CheckResult(
+    assert check("integral-continuant-stern")(12, 0) == verify.CheckResult(
         "integral-continuant-stern", True,
         "s(nu(w)) continuant for |w| <= 12, word_of inverts integral_rep for |w| <= 10",
     )
@@ -356,6 +346,6 @@ def test_fibonacci_word_names_its_first_differing_letter(monkeypatch):
         return word[:100] + {"a": "b", "b": "a"}[word[100]] + word[101:]
 
     monkeypatch.setattr(verify, "psi_prefix", flipped)
-    result = verify.check_fibonacci_word(0, 0)
+    result = check("fibonacci-word-prefix")(0, 0)
     assert not result.ok
     assert result.detail == "periodic directive limit; first failure: ('prefix', 100)"
