@@ -34,7 +34,6 @@ import os
 import re
 import sys
 from functools import cache
-from itertools import repeat
 from typing import Iterable, Sequence
 
 from . import verify as verify_mod
@@ -54,7 +53,7 @@ from .stern import (
     stern_via_zeta,
 )
 from .trees import path_of_fraction, tree_node
-from .words import BudgetError
+from .words import _FROM_DIGITS, _TO_DIGITS, BudgetError
 
 EXIT_OK = 0
 EXIT_CLOSED_PIPE = 1
@@ -67,8 +66,6 @@ EXIT_DISAGREE = 6
 #: Text tables refuse to render more rows than this; json/csv still may.
 TEXT_ROW_LIMIT = 10**5
 
-_FROM_01 = str.maketrans("01", "ab")
-_TO_01 = str.maketrans("ab", "01")
 _INTEGER = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")
 #: A parse refusal quotes at most this many characters of each argument.
 _QUOTED = 40
@@ -99,7 +96,7 @@ def _parse_word(argument: str, text: str, alphabet: str) -> str:
     if text.strip(alphabet):  # the alphabet's name is its two letters
         head = f"not a word over {{{alphabet[0]},{alphabet[1]}}}"
         raise _Refusal(EXIT_PARSE, head, [(argument, text)])
-    return text.translate(_FROM_01) if alphabet == "01" else text
+    return text.translate(_FROM_DIGITS) if alphabet == "01" else text
 
 
 def _integers(arguments: Sequence[tuple[str, str]], name: str, head: str = "not an integer",
@@ -134,7 +131,7 @@ def _fraction(argument: str, text: str) -> tuple[int, ...]:
 def _render_word(w: str, alphabet: str) -> str:
     if not w:
         return "eps"
-    return w.translate(_TO_01) if alphabet == "01" else w
+    return w.translate(_TO_DIGITS) if alphabet == "01" else w
 
 
 @cache
@@ -359,10 +356,10 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 def _cmd_dist(args: argparse.Namespace) -> int:
     (k,) = _integers([("k", args.k)], "k")
-    # counts come sorted by length; each format reads only the figures it prints
+    # the tally is indexed by length; each format reads only the figures it prints
     h = histogram(k)
     if args.format == "csv":
-        return _emit(args, [], {}, zip(repeat(h.order), h.counts, h.counts.values()))
+        return _emit(args, [], {}, ((k, n, c) for n, c in enumerate(h.tally) if c))
     missing = h.missing
     if args.format == "json":
         payload = {
@@ -383,7 +380,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         f"missing count: {len(missing)}",
         "histogram:",
     ]
-    lines += [f"  {n} {c}" for n, c in h.counts.items()]
+    lines += [f"  {n} {c}" for n, c in enumerate(h.tally) if c]
     return _emit(args, lines, {})
 
 

@@ -42,13 +42,13 @@ and only counting them costs a Python step each.  No lane carries while
 F(k+1), the longest order-k length, fits one; one refusal covers that
 lane bound and ``MAX_ENUMERATED_ORDER``.  The same bound sizes one dense
 tally, a list indexed by length, which each row's lanes update through
-a ``memoryview``; read in index order, it gives the counts sorted by
-length.
+a ``memoryview``.
 
-A ``LengthHistogram`` is the one record of an order: its counts C_k(n),
-their mass, and the order statistics read from them, the maximal
-multiplicity M_k (``max_count``), the lengths that reach it (``argmax``)
-and the lengths in [k + 2, F(k+1)] that no word has (``missing``).
+A ``LengthHistogram`` is the one record of an order: that tally, whose
+entry n is C_k(n), and the figures read from it, its mass, the nonzero
+counts by increasing length (``counts``), the maximal multiplicity M_k
+(``max_count``), the lengths that reach it (``argmax``) and the lengths
+in [k + 2, F(k+1)] that no word has (``missing``).
 
 ``bound_report`` enumerates nothing of its own: each of its predicates
 reads the histogram's figures and the lengths of at most 12 fixed words.
@@ -60,7 +60,7 @@ import sys
 from array import array
 from fractions import Fraction
 from itertools import compress, count
-from operator import add
+from operator import add, mul
 from typing import NamedTuple
 
 from .continuants import fib
@@ -80,48 +80,55 @@ _LANE_ORDER = next(k for k in count() if fib(k + 2) >> (8 * _LANE))
 
 
 class LengthHistogram(NamedTuple):
-    """Counts C_k(n) of order-``order`` Christoffel words of length n, by
-    increasing n, and the figures read from them, each computed when read.
+    """Counts C_k(n) of order-``order`` Christoffel words of length n as a
+    tally, ``tally[n]`` = C_k(n) for 0 <= n <= F(k+1), and the figures
+    read from it, each computed when read.
     """
 
     order: int
-    counts: dict[int, int]
+    tally: list[int]
+
+    @property
+    def counts(self) -> dict[int, int]:
+        """The nonzero counts C_k(n), by increasing n."""
+        return {n: c for n, c in enumerate(self.tally) if c}
 
     @property
     def mass(self) -> int:
         """Total number of words; equals 2^order."""
-        return sum(self.counts.values())
+        return sum(self.tally)
 
     @property
     def weighted_mass(self) -> int:
         """Sum of all lengths; equals 2 * 3^order."""
-        return sum(n * c for n, c in self.counts.items())
+        return sum(map(mul, count(), self.tally))
 
     @property
     def support(self) -> list[int]:
-        return list(self.counts)
+        """The lengths that some word has, sorted."""
+        return list(compress(count(), self.tally))
 
     @property
     def max_count(self) -> int:
         """M_k, the largest count C_k(n)."""
-        return max(self.counts.values())
+        return max(self.tally)
 
     @property
     def argmax(self) -> list[int]:
         """The lengths n with C_k(n) = M_k, sorted."""
         top = self.max_count
-        return [n for n, c in self.counts.items() if c == top]
+        return [n for n, c in enumerate(self.tally) if c == top]
 
     @property
     def missing(self) -> list[int]:
         """The lengths in [k + 2, F(k+1)] that no order-k word has."""
-        return [n for n in range(self.order + 2, fib(self.order + 1) + 1) if n not in self.counts]
+        lo = self.order + 2
+        return [n for n, c in enumerate(self.tally[lo : fib(self.order + 1) + 1], lo) if not c]
 
     @property
     def missing_count(self) -> int:
         """The number of ``missing`` lengths, counted without listing them."""
-        lo, top = self.order + 2, fib(self.order + 1)
-        return top - lo + 1 - sum(1 for n in self.counts if lo <= n <= top)
+        return self.tally[self.order + 2 : fib(self.order + 1) + 1].count(0)
 
 
 def _descendants(m: int) -> tuple[list[int], list[int]]:
@@ -160,11 +167,11 @@ def histogram(k: int) -> LengthHistogram:
     entry.  An order past ``MAX_ENUMERATED_ORDER`` or ``_LANE_ORDER``,
     whose longest words would carry into the next lane, raises
     :class:`BudgetError` up front.  The lanes are read as C unsigned ints
-    into a tally list of F(k+1) + 1 entries: 4 for each lane of a row,
-    2 off again for each of the s end lanes at either end.
+    into the tally, a list of F(k+1) + 1 entries: 4 for each lane of a
+    row, 2 off again for each of the s end lanes at either end.
 
-    >>> histogram(3).counts
-    {5: 2, 7: 4, 8: 2}
+    >>> histogram(3).tally
+    [0, 0, 0, 0, 0, 2, 0, 4, 2]
     """
     if k < 0:
         raise ValueError("order must be non-negative")
@@ -172,7 +179,7 @@ def histogram(k: int) -> LengthHistogram:
     if k > bound:
         raise BudgetError(f"order k enumerates 2^k directives; k exceeds the bound of {bound}")
     if k < 2:
-        return LengthHistogram(k, {k + 2: 2**k})
+        return LengthHistogram(k, [0] * (k + 2) + [2**k])
     xs, ys = _descendants(k - k // 2)
     n = len(xs)
     s = 1 + k % 2
@@ -190,7 +197,7 @@ def histogram(k: int) -> LengthHistogram:
             tally[length] -= 2
         for length in row[n - lo - s : n - lo]:
             tally[length] -= 2
-    return LengthHistogram(k, {length: c for length, c in enumerate(tally) if c})
+    return LengthHistogram(k, tally)
 
 
 def alternating(k: int, first: str = "a") -> str:
@@ -314,7 +321,7 @@ def bound_report_histogram(h: LengthHistogram) -> BoundReport:
     the counts and the lengths of these at most 12 words settle every
     predicate.
     """
-    k, counts, support = h.order, h.counts, h.support
+    k, tally = h.order, h.tally
     if k < 3:
         raise ValueError("bound checks need order k >= 3")
     lo, floor, top = k + 2, 2 * k + 1, fib(k + 1)
@@ -327,19 +334,17 @@ def bound_report_histogram(h: LengthHistogram) -> BoundReport:
         *constants, *alternating_pair, *floor_class, *ceiling_class)}
 
     def exactly(n: int, words: set[str]) -> bool:
-        return counts.get(n, 0) == len(words) and all(length[v] == n for v in words)
+        return tally[n] == len(words) and all(length[v] == n for v in words)
 
     return BoundReport(
         k,
-        support[0] >= lo and exactly(lo, constants),
-        sum(c for n, c in counts.items() if n < floor)
-        == sum(1 for v in constants if length[v] < floor),
+        not any(tally[:lo]) and exactly(lo, constants),
+        sum(tally[:floor]) == sum(1 for v in constants if length[v] < floor),
         exactly(floor, floor_class),
-        support[-1] <= top and exactly(top, alternating_pair),
-        sum(c for n, c in counts.items() if n > ceiling)
-        == sum(1 for v in alternating_pair if length[v] > ceiling),
+        not any(tally[top + 1 :]) and exactly(top, alternating_pair),
+        sum(tally[ceiling + 1 :]) == sum(1 for v in alternating_pair if length[v] > ceiling),
         exactly(ceiling, ceiling_class),
-        {3 * k - 2, 3 * k - 1, 5 * k - 8, 5 * k - 7} <= counts.keys(),
+        all(tally[n] for n in (3 * k - 2, 3 * k - 1, 5 * k - 8, 5 * k - 7)),
         h.missing_count >= fib(k - 4) + k - 3,
     )
 

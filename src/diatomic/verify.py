@@ -46,6 +46,7 @@ from .christoffel import (
 )
 from .continuants import christoffel_length_cf, continuant, fib, mirror_formula
 from .distribution import (
+    LengthHistogram,
     bound_report_histogram,
     counts_for_length,
     histogram,
@@ -445,51 +446,19 @@ def _(k: int, _n: int):
     )
 
 
-#: Lengths up to which ``totient-identity`` compares each order's counts.
-_SHORT_LENGTHS = 300
-
-
-class _OrderFigures(NamedTuple):
-    """The few figures of one order's histogram that the histogram checks
-    read; the histogram itself is dropped once they are taken.
-
-    Keeping the 23 histograms of orders 0..22 instead raised the max RSS
-    of ``dist 22`` then ``verify --max-k 22 --max-n 16384`` in one
-    process from 25.8 to 29.8 MB (medians of 3 runs, CPython 3.11.7 on a
-    2-core Intel Xeon virtual machine).  That is about 13% of the bench's
-    ``replay`` peak RSS (median 30.1 MB), close to the 15% its
-    ``peak_rss_mb`` bound allows."""
-
-    mass: int
-    weighted_mass: int
-    shortest: int
-    longest: int
-    max_count: int
-    argmax: frozenset[int]
-    missing_count: int
-    bounds_passed: bool  # the paper's length bounds; vacuous below order 3
-    short_counts: dict[int, int]  # C_k(n) for n <= _SHORT_LENGTHS
-
-
 @cache
-def _order(k: int) -> _OrderFigures:
-    h = histogram(k)
-    support = h.support
-    return _OrderFigures(
-        h.mass, h.weighted_mass, support[0], support[-1],
-        h.max_count, frozenset(h.argmax), h.missing_count,
-        k < 3 or bound_report_histogram(h).passed,
-        {n: c for n, c in h.counts.items() if n <= _SHORT_LENGTHS},
-    )
+def _order(k: int) -> LengthHistogram:
+    return histogram(k)
 
 
 @_check("histogram-invariants", k=22)
 def _(top: int, _n: int):
     return f"mass 2^k, weighted mass 2*3^k for k <= {top}", (
         k for k in range(top + 1)
-        for f in [_order(k)]
-        if f.mass != 2**k or f.weighted_mass != 2 * 3**k
-        or f.shortest < k + 2 or f.longest > fib(k + 1)
+        for h in [_order(k)]
+        for support in [h.support]
+        if h.mass != 2**k or h.weighted_mass != 2 * 3**k
+        or support[0] < k + 2 or support[-1] > fib(k + 1)
     )
 
 
@@ -500,10 +469,10 @@ def _(top: int, _n: int):
         f" golden-ratio lower bound for k <= {max(MAX_COUNT_TABLE)}",
         (
             k for k in range(1, top + 1)
-            for f, (expected_max, listed) in [(_order(k), MAX_COUNT_TABLE[k])]
-            if f.max_count != expected_max
-            or not set(listed) <= f.argmax
-            or (k <= len(MISSING_COUNT_TABLE) and f.missing_count != MISSING_COUNT_TABLE[k - 1])
+            for h, (expected_max, listed) in [(_order(k), MAX_COUNT_TABLE[k])]
+            if h.max_count != expected_max
+            or not set(listed) <= set(h.argmax)
+            or (k <= len(MISSING_COUNT_TABLE) and h.missing_count != MISSING_COUNT_TABLE[k - 1])
         ),
         # the golden-ratio lower bound needs no histogram: every pinned order
         (
@@ -516,11 +485,11 @@ def _(top: int, _n: int):
 @_check("length-bounds", k=22)
 def _(top: int, _n: int):
     return f"extremal classes for 3 <= k <= {top}", (
-        k for k in range(3, top + 1) if not _order(k).bounds_passed
+        k for k in range(3, top + 1) if not bound_report_histogram(_order(k)).passed
     )
 
 
-@_check("totient-identity", k=22, n=_SHORT_LENGTHS)
+@_check("totient-identity", k=22, n=300)
 def _(top: int, limit: int):
     by_length = {n: counts_for_length(n) for n in range(2, limit + 1)}
     return (
@@ -529,7 +498,8 @@ def _(top: int, limit: int):
         (
             ("histogram", n, k) for n, c in by_length.items()
             for k in range(top + 1)
-            if c.get(k, 0) != _order(k).short_counts.get(n, 0)
+            for tally in [_order(k).tally]
+            if c.get(k, 0) != (tally[n] if n < len(tally) else 0)
         ),
     )
 

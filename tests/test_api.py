@@ -1,6 +1,7 @@
 """The package's public surface: no export hides a submodule, every
-export is read by library code or a README doctest line, and
-``verify`` reaches every exported function but a declared few."""
+export is read by library code or a README doctest line, ``verify``
+reaches every exported function but a declared few, and each guard of
+a precondition refuses with its own message."""
 
 import ast
 import pkgutil
@@ -10,8 +11,20 @@ from collections import defaultdict
 from importlib import import_module
 from pathlib import Path
 
+import pytest
+
 import diatomic
 from diatomic import verify
+from diatomic.christoffel import standard_by_coefficients
+from diatomic.distribution import counts_for_length
+from diatomic.fracs import Frac
+from diatomic.stern import (
+    reverse_bits,
+    stern_factor_identity,
+    stern_via_christoffel,
+    stern_via_subwords,
+)
+from diatomic.words import decode
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(diatomic.__file__).resolve().parent
@@ -87,3 +100,39 @@ def test_verify_reaches_every_export_but_the_declared_few():
     found = callers()
     for name, caller in UNVERIFIED.items():
         assert caller in found[name], (name, caller)
+
+
+#: Guards that no other test reaches: a call, and the message of the
+#: ValueError it raises, or the value it gives.
+GUARDS = {
+    "standard_by_coefficients": (
+        lambda: standard_by_coefficients((), -1), ValueError("count must be non-negative")),
+    "stern_via_christoffel": (
+        lambda: stern_via_christoffel(-1),
+        ValueError("Stern's sequence is indexed by non-negative integers")),
+    "stern_via_subwords": (
+        lambda: stern_via_subwords(-1),
+        ValueError("Stern's sequence is indexed by non-negative integers")),
+    "reverse_bits": (
+        lambda: reverse_bits(-1), ValueError("negative integers have no binary expansion")),
+    "stern_factor_identity": (
+        lambda: stern_factor_identity(-1),
+        ValueError("Stern's sequence is indexed by non-negative integers")),
+    "counts_for_length": (
+        lambda: counts_for_length(1),
+        ValueError("proper Christoffel words have length at least 2")),
+    "decode": (
+        lambda: decode(-1), ValueError("negative integers have no binary word expansion")),
+    # the sign stays on the numerator
+    "Frac.inverse": (lambda: Frac(-3, 2).inverse, Frac(-2, 3)),
+}
+
+
+@pytest.mark.parametrize("call, expected", GUARDS.values(), ids=GUARDS)
+def test_each_guard_refuses_with_its_message(call, expected):
+    if isinstance(expected, ValueError):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == str(expected)
+    else:
+        assert call() == expected

@@ -154,7 +154,10 @@ def test_missing_count_counts_the_missing_list():
         h = histogram(k)
         assert h.missing_count == len(h.missing)
     # words moved to 5 and to 35, outside [k + 2, F(k+1)], fill no gap
-    moved = LengthHistogram(4, {5: 1, 6: 1, 9: 4, 10: 2, 11: 4, 12: 2, 13: 1, 35: 1})
+    tally = [0] * 36
+    for n, c in {5: 1, 6: 1, 9: 4, 10: 2, 11: 4, 12: 2, 13: 1, 35: 1}.items():
+        tally[n] = c
+    moved = LengthHistogram(4, tally)
     assert moved.missing == [7, 8] and moved.missing_count == 2
 
 
@@ -314,40 +317,42 @@ def test_bound_report_matches_brute_force():
         assert bound_report(k) == brute_bound_report(k)
 
 
-def moved(counts, source, target, c=1):
-    """``counts`` with c words of length ``source`` given length ``target``."""
-    edited = dict(counts)
-    edited[target] = edited.get(target, 0) + c
+def moved(tally, source, target, c=1):
+    """``tally`` with c words of length ``source`` given length ``target``,
+    extended when ``target`` lies past its end."""
+    edited = tally + [0] * (target + 1 - len(tally))
+    edited[target] += c
     edited[source] -= c
-    return {n: m for n, m in sorted(edited.items()) if m}
+    return edited
 
 
 def test_bound_report_reads_each_predicate_from_the_counts():
     # order 6: constants at 8, floor 13, ceiling 31, alternating pair at 34,
     # consecutive lengths 16, 17, 22, 23; 26 is none of these
-    counts = histogram(6).counts
-    assert (min(counts), max(counts), counts[13], counts[31], counts[26]) == (8, 34, 4, 4, 4)
-    assert bound_report_histogram(histogram(6)).passed
+    h = histogram(6)
+    support, tally = h.support, h.tally
+    assert (min(support), max(support), tally[13], tally[31], tally[26]) == (8, 34, 4, 4, 4)
+    assert bound_report_histogram(h).passed
 
     def failed(edited):
         report = bound_report_histogram(LengthHistogram(6, edited))._asdict()
         return [name for name, ok in report.items() if ok is False]
 
-    assert failed(moved(counts, 8, 9)) == ["least_length_ok"]  # a constant one longer
-    assert failed(moved(counts, 26, 10)) == ["nonconstant_floor_ok"]
-    assert failed(moved(counts, 26, 13)) == ["floor_equality_ok"]
-    assert failed(moved(counts, 34, 35)) == ["greatest_length_ok"]  # an alternating word
-    assert failed(moved(counts, 26, 32)) == ["nonalternating_ceiling_ok"]
-    assert failed(moved(counts, 26, 31)) == ["ceiling_equality_ok"]
-    assert failed(moved(counts, 16, 26, 4)) == ["consecutive_lengths_ok"]
+    assert failed(moved(tally, 8, 9)) == ["least_length_ok"]  # a constant one longer
+    assert failed(moved(tally, 26, 10)) == ["nonconstant_floor_ok"]
+    assert failed(moved(tally, 26, 13)) == ["floor_equality_ok"]
+    assert failed(moved(tally, 34, 35)) == ["greatest_length_ok"]  # an alternating word
+    assert failed(moved(tally, 26, 32)) == ["nonalternating_ceiling_ok"]
+    assert failed(moved(tally, 26, 31)) == ["ceiling_equality_ok"]
+    assert failed(moved(tally, 16, 26, 4)) == ["consecutive_lengths_ok"]
     # a word past either end, with the extremal counts kept, also breaks
     # the floor or the ceiling beside it
-    assert failed(moved(counts, 26, 7)) == ["least_length_ok", "nonconstant_floor_ok"]
-    assert failed(moved(counts, 26, 35)) == ["greatest_length_ok", "nonalternating_ceiling_ok"]
+    assert failed(moved(tally, 26, 7)) == ["least_length_ok", "nonconstant_floor_ok"]
+    assert failed(moved(tally, 26, 35)) == ["greatest_length_ok", "nonalternating_ceiling_ok"]
     # the missing-length floor F(k-4) + k - 3 counts exactly the lengths of
     # the two gaps (k+2, 2k+1) and (F(k+1) - F(k-4), F(k+1)): filling every
     # other missing length meets it, and no edit breaks it alone
-    middle = counts
+    middle = tally
     for n in (14, 15, 18, 21, 28):  # from the 8 words of length 23
         middle = moved(middle, 23, n)
     assert failed(middle) == []
