@@ -5,8 +5,11 @@ is evaluated by four independent routes: the defining recurrence, the
 Christoffel-length correspondence (odd arguments are lengths of
 Christoffel words, even ones minimal periods of central words), the
 Calkin-Wilf subword count (occurrences of b(ab)* patterns in the binary
-expansion), and a signed continuant over the ruler-sequence entries.
-The routes share no code, so their agreement is a meaningful check.
+expansion), and a signed continuant over the ruler-sequence entries,
+read off O(log n) dyadic block products of 2x2 matrices.  The routes
+share no code, so their agreement is a meaningful check; the running
+continuant :func:`zeta_sterns`, which yields every value up to a limit,
+shares none with the block products either.
 
 The module also houses the occurrence-level refinement of the
 Calkin-Wilf theorem (sorted marked occurrences spell out a standard
@@ -107,11 +110,6 @@ def zeta(n: int) -> int:
     return magnitude if n % 2 else -magnitude
 
 
-#: Largest argument of :func:`stern_via_zeta`: the route costs one
-#: continuant step per argument below n.
-ZETA_ARGUMENT_CAP = 2**22
-
-
 def zeta_sterns(limit: int) -> Iterator[int]:
     """s(2), s(3), ..., s(limit) from one running signed continuant over
     zeta(1), zeta(2), ...: after the entries zeta(1..n-1) the continuant
@@ -130,21 +128,44 @@ def zeta_sterns(limit: int) -> Iterator[int]:
         yield -prev if i & 2 else prev
 
 
+_Matrix = tuple[int, int, int, int]  # a 2x2 integer matrix, row by row
+
+
+def _product(x: _Matrix, y: _Matrix) -> _Matrix:
+    a, b, c, d = x
+    e, f, g, h = y
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
 def stern_via_zeta(n: int) -> int:
     """s(n) for n > 1 as a signed continuant over zeta(1..n-1):
-    s(n) = (-1)^floor((n-1)/2) K[zeta_1, ..., zeta_{n-1}], the last value
-    of :func:`zeta_sterns`.  Arguments above ``ZETA_ARGUMENT_CAP`` raise
-    :class:`BudgetError` before the sweep starts.
+    s(n) = (-1)^floor((n-1)/2) K[zeta_1, ..., zeta_{n-1}], read off a
+    product of O(log n) dyadic blocks rather than n - 1 continuant steps.
+
+    With Z(x) = [[x, 1], [1, 0]], the continuant K[x_1, ..., x_m] is the
+    top-left entry of Z(x_1) ... Z(x_m).  The ruler sequence repeats
+    itself, zeta(2^j + r) = zeta(r) for 0 < r < 2^j, so the block
+    B_j = Z(zeta(1)) ... Z(zeta(2^j - 1)) doubles as
+    B_{j+1} = B_j Z(zeta(2^j)) B_j, and the product up to m = n - 1 is
+    B_j Z(zeta(2^j)) taken over the set bits j of m, highest first.  The
+    blocks stay small: B_j = [[-1, -j], [-j, 1 - j^2]] for j >= 2.
+
+    >>> stern_via_zeta(5)
+    3
+    >>> stern_via_zeta(2**100 + 1) == stern(2**100 + 1) == 101
+    True
     """
     if n < 2:
         raise ValueError("the signed continuant form needs n > 1")
-    if n > ZETA_ARGUMENT_CAP:
-        raise BudgetError(
-            f"the continuant route takes n - 1 steps; n exceeds the cap of {ZETA_ARGUMENT_CAP}"
-        )
-    for value in zeta_sterns(n):
-        pass
-    return value
+    m = n - 1
+    block = total = (1, 0, 0, 1)  # B_0 and the empty product
+    for j in range(m.bit_length()):
+        # B_j Z(zeta(2^j)), with zeta(1) = 1 and zeta(2^j) = -(2j + 1) past it
+        step = _product(block, (-2 * j - 1 if j else 1, 1, 1, 0))
+        if m >> j & 1:  # lower set bits are the right-hand factors
+            total = _product(step, total)
+        block = _product(step, block)
+    return -total[0] if m & 2 else total[0]
 
 
 def stern_via_integral_continuant(w: str) -> int:

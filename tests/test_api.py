@@ -62,7 +62,7 @@ def test_no_export_shadows_a_submodule():
         if info.name != "__main__":
             module = import_module(f"diatomic.{info.name}")
             assert getattr(diatomic, info.name) is module, info.name
-    assert diatomic.stern.ZETA_ARGUMENT_CAP > 0
+    assert diatomic.stern.MARKED_OCCURRENCE_CAP > 0
 
 
 def test_every_export_has_a_caller():

@@ -16,7 +16,7 @@ from diatomic import cli
 from diatomic.cli import main
 from diatomic.distribution import MAX_ENUMERATED_ORDER
 from diatomic.palindromes import PSI_LENGTH_BUDGET
-from diatomic.stern import MARKED_OCCURRENCE_CAP, ZETA_ARGUMENT_CAP, marked_occurrences, stern
+from diatomic.stern import MARKED_OCCURRENCE_CAP, marked_occurrences, stern
 
 
 def run_cli(capsys, *argv):
@@ -142,10 +142,22 @@ def test_stern_zeta_precondition(capsys):
     assert code == 5 and err
 
 
-def test_stern_zeta_budget(capsys):
-    for method in ("zeta", "all"):
-        code, out, err = run_cli(capsys, "stern", str(ZETA_ARGUMENT_CAP + 1), "--method", method)
-        assert code == 4 and out == "" and "cap" in err
+def test_stern_zeta_answers_large_n(capsys):
+    n = 2**22 + 1
+    code, out, err = run_cli(capsys, "stern", str(n), "--method", "all")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"{name}: {stern(n)}"
+                                for name in ("recurrence", "christoffel", "subwords", "zeta")]
+    n = 2**100 + 1
+    assert run_cli(capsys, "stern", str(n), "--method", "zeta") == (0, f"{stern(n)}\n", "")
+
+
+def test_stern_all_at_the_integer_digit_limit(capsys):
+    # the longest n argv admits, answered by every route in O(log n) products
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "stern", "9" * sys.get_int_max_str_digits(), "--method", "all")
+    assert time.perf_counter() - start < 2
+    assert (code, err, len(out.splitlines())) == (0, "", 4)  # four routes that agree
 
 
 def test_stern_parse_error(capsys):
@@ -759,11 +771,12 @@ FRACTION_TEXTS = st.one_of(
     st.sampled_from(["3/", "x/y", "1/2/3", "/4"]),
 )
 OPTIONAL_FLAVOR = st.sampled_from([[], ["--flavor", "raney"], ["--flavor", "sternbrocot"]])
-STERN_ARGS = st.one_of(
-    st.tuples(integer_texts(-5, 10**6), st.sampled_from(
-        [[], ["--method", "recurrence"], ["--method", "christoffel"], ["--method", "subwords"]])),
-    st.tuples(integer_texts(-5, 4096), st.sampled_from([["--method", "zeta"], ["--method", "all"]])),
-).map(lambda pair: [pair[0], *pair[1]])
+STERN_ARGS = st.builds(
+    lambda n, method: [n, *method],
+    integer_texts(-5, 10**30),
+    st.sampled_from([[], *(["--method", m] for m in
+                           ("recurrence", "christoffel", "subwords", "zeta", "all"))]),
+)
 # verify would run up to the bounds " 7 " and "1_000" read as
 VERIFY_TEXTS = st.sampled_from(["x", "1e3"])
 ONE_WORD = WORD_TEXTS.map(lambda w: [w])

@@ -24,7 +24,6 @@ from diatomic.stern import (
     stern_via_christoffel,
     stern_via_integral_continuant,
     stern_via_subwords,
-    ZETA_ARGUMENT_CAP,
     stern_via_zeta,
     zeta,
     zeta_sterns,
@@ -80,6 +79,7 @@ def test_recurrence_and_routes_on_large_arguments(n):
     assert stern(2 * n) == stern(n)
     assert stern(2 * n + 1) == stern(n) + stern(n + 1)
     assert stern(n) == stern_via_christoffel(n) == stern_via_subwords(n)
+    assert stern_via_zeta(n + 2) == stern(n + 2)
 
 
 def test_concurrent_evaluation():
@@ -132,12 +132,12 @@ def test_zeta_examples():
     assert stern_via_zeta(5) == 3
     with pytest.raises(ValueError):
         stern_via_zeta(1)
-    with pytest.raises(BudgetError):
-        stern_via_zeta(ZETA_ARGUMENT_CAP + 1)
 
 
 def test_zeta_sweep():
     assert list(zeta_sterns(5000)) == [stern(n) for n in range(2, 5001)]
+    # the running continuant and the dyadic blocks share no code
+    assert [stern_via_zeta(n) for n in range(2, 5001)] == list(zeta_sterns(5000))
     assert list(zeta_sterns(1)) == []
 
 

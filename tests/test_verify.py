@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import check
-from diatomic import ChristoffelWord, cli, verify, words
+from diatomic import ChristoffelWord, cli, stern, verify, words
 from diatomic.distribution import LengthHistogram, bound_report, counts_for_length, histogram
 from diatomic.fracs import Frac
 
@@ -237,6 +237,22 @@ def test_a_planted_fault_names_its_case(monkeypatch, fresh_orders, key):
     verify._order.cache_clear()  # the clean run above filled it
     result = run(*bounds)
     assert not result.ok and result.detail.endswith(f"; first failure: {first}")
+
+
+@pytest.mark.parametrize("j", range(7))
+def test_the_short_zeta_range_reaches_every_block_level(monkeypatch, j):
+    # zeta(2^j) off by one inside stern_via_zeta's dyadic blocks; the
+    # range 2..128 reads every level below 2^7, first at n = 2^j + 1
+    z = stern.zeta(2**j)
+    original = stern._product
+
+    def planted(x, y):
+        return original(x, (z + 1, 1, 1, 0) if y == (z, 1, 1, 0) else y)
+
+    monkeypatch.setattr(stern, "_product", planted)
+    result = check("stern-evaluator-agreement")(0, 128)
+    assert not result.ok
+    assert result.detail.endswith(f"; first failure: ('stern_via_zeta', {2**j + 1})")
 
 
 def test_each_check_has_one_name_the_one_it_prints():
