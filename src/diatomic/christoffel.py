@@ -40,9 +40,6 @@ class ChristoffelWord(NamedTuple):
     def order(self) -> int | None:
         return None if self.directive is None else len(self.directive)
 
-    def __str__(self) -> str:
-        return self.word
-
 
 def _repeat(word: memoryview, at: int, source: int, size: int, count: int) -> None:
     # writes count copies of word[source : source + size] from ``at`` on,

@@ -34,6 +34,7 @@ import os
 import re
 import sys
 from functools import cache
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 from . import verify as verify_mod
@@ -45,7 +46,6 @@ from .christoffel import (
 from .distribution import histogram
 from .palindromes import pal_closure, period_pair, psi, psi_inverse
 from .stern import (
-    _occurrence_count,
     marked_occurrences,
     stern,
     stern_via_christoffel,
@@ -62,9 +62,6 @@ EXIT_NOT_IN_CLASS = 3
 EXIT_BUDGET = 4
 EXIT_PRECONDITION = 5
 EXIT_DISAGREE = 6
-
-#: Text tables refuse to render more rows than this; json/csv still may.
-TEXT_ROW_LIMIT = 10**5
 
 _INTEGER = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")
 #: A parse refusal quotes at most this many characters of each argument.
@@ -135,12 +132,13 @@ def _render_word(w: str, alphabet: str) -> str:
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, list[str]]:
     # main's parser, built on its first call rather than at import;
     # argparse keeps no state between parses and writes to sys.stdout
     # and sys.stderr as they are at call time, so one parser serves all.
     # Each subparser carries its handler as ``run`` and the header of its
     # csv table as ``csv_header``; main refuses csv where that is None.
+    # With it come the names of the fraction options, whose value may start with "-".
     parser = argparse.ArgumentParser(
         prog="diatomic",
         description="Christoffel words, tree labelings, and Stern's diatomic sequence.",
@@ -169,7 +167,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("christoffel", help="build a Christoffel word and factor it")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--slope", help="irreducible fraction p/q")
+    fractions = [group.add_argument("--slope", help="irreducible fraction p/q")]
     group.add_argument("--directive", help="directive word")
     p.set_defaults(run=_cmd_christoffel, csv_header=None)
 
@@ -195,7 +193,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("path", nargs="?")
-    group.add_argument("--fraction", help="look a label up instead of giving a path")
+    fractions.append(
+        group.add_argument("--fraction", help="look a label up instead of giving a path"))
     p.add_argument("--flavor", choices=flavors, default="raney")
     p.set_defaults(run=_cmd_tree, csv_header=None)
 
@@ -208,10 +207,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", default=str(verify_mod.DEFAULT_MAX_N))
     p.set_defaults(run=_cmd_verify, csv_header=("name", "ok", "detail"))
 
-    return parser
+    return parser, [name for action in fractions for name in action.option_strings]
 
 
-def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict,
+def _emit(args: argparse.Namespace, text_lines: Iterable[str], payload: dict,
           csv_rows: Iterable[Sequence] = ()) -> int:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -219,8 +218,13 @@ def _emit(args: argparse.Namespace, text_lines: list[str], payload: dict,
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(args.csv_header)
         writer.writerows(csv_rows)
-    elif text_lines:
-        print("\n".join(text_lines))
+    else:
+        # a few thousand lines at a time, so no table is held whole as
+        # text; each chunk's last newline is joined in, not concatenated
+        lines = iter(text_lines)
+        while chunk := list(islice(lines, 4096)):
+            chunk.append("")
+            sys.stdout.write("\n".join(chunk))
     return EXIT_OK
 
 
@@ -305,10 +309,6 @@ def _cmd_stern(args: argparse.Namespace) -> int:
 
 def _cmd_occ(args: argparse.Namespace) -> int:
     w = _parse_word("word", args.word, args.alphabet)
-    if args.format == "text" and (count := _occurrence_count(w)) > TEXT_ROW_LIMIT:
-        raise BudgetError(
-            f"{count} rows exceed the text limit of {TEXT_ROW_LIMIT}; use --format json or csv"
-        )
     markers, rows = marked_occurrences(w)
     if args.format == "json":
         # each row is written as it is made, in the bytes of
@@ -320,17 +320,15 @@ def _cmd_occ(args: argparse.Namespace) -> int:
                   f' "positions": {list(key[::-1])}}}')
         write(f'], "word": {json.dumps(w)}}}\n')
         return EXIT_OK
-    # text and csv spell the markers in the chosen alphabet, column and word alike
+    # text and csv spell the markers in the chosen alphabet, column and word
+    # alike, and read the same lazy cells: _emit draws on the one it prints
     shown = _render_word(markers, args.alphabet)
     cells = (
         (m, ",".join(map(str, key)), ",".join(map(str, key[::-1])))
         for m, key in zip(shown, rows)
     )
-    if args.format == "csv":
-        return _emit(args, [], {}, cells)
-    lines = ["  ".join(row) for row in (args.csv_header, *cells)]
-    lines.append(f"word: {shown}")
-    return _emit(args, lines, {})
+    table = map("  ".join, chain([args.csv_header], cells))
+    return _emit(args, chain(table, [f"word: {shown}"]), {}, cells)
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
@@ -380,8 +378,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         f"missing count: {len(missing)}",
         "histogram:",
     ]
-    lines += [f"  {n} {c}" for n, c in enumerate(h.tally) if c]
-    return _emit(args, lines, {})
+    return _emit(args, chain(lines, (f"  {n} {c}" for n, c in enumerate(h.tally) if c)), {})
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -405,13 +402,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if passed == len(results) else EXIT_DISAGREE
 
 
-#: Options whose value is a fraction and so may start with "-".
-_FRACTION_OPTIONS = ("--fraction", "--slope")
-
-
-def _attach_fraction_values(argv: Sequence[str]) -> list[str]:
-    """``--slope -1/2`` as ``--slope=-1/2``, and so for the abbreviations
-    argparse accepts.
+def _attach_fraction_values(argv: Sequence[str], fraction_options: list[str]) -> list[str]:
+    """``--slope -1/2`` as ``--slope=-1/2``, and so for each of
+    ``fraction_options`` and the abbreviations argparse accepts.
 
     argparse reads a separate token that starts with "-" as an option
     unless it is a plain number, so a negative fraction would never
@@ -421,7 +414,7 @@ def _attach_fraction_values(argv: Sequence[str]) -> list[str]:
     for token in argv:
         option = args[-1] if args else ""
         if (token[:1] == "-" and token[1:2].isdigit() and len(option) > 2
-                and any(name.startswith(option) for name in _FRACTION_OPTIONS)):
+                and any(name.startswith(option) for name in fraction_options)):
             args[-1] = f"{option}={token}"
         else:
             args.append(token)
@@ -429,7 +422,9 @@ def _attach_fraction_values(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(_attach_fraction_values(sys.argv[1:] if argv is None else argv))
+    parser, fraction_options = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_fraction_values(argv, fraction_options))
     try:
         if args.format == "csv" and args.csv_header is None:
             raise _Refusal(EXIT_PARSE, f"csv output is not available for '{args.command}'")

@@ -323,12 +323,11 @@ def mu(v: str, w: str) -> str:
 
 
 def min_period_central(v: str) -> int:
-    """Minimal period of psi(v), computed without building the image.
+    """Minimal period of psi(v), computed without building the image:
+    min(p_a, p_b) of ``period_pair(v)``.
 
-    For non-empty v it equals the period component of the last letter of
-    v, which is also min(p_a, p_b); for the empty directive it is 1.
+    Appending a letter keeps that letter's period and raises the other
+    one to their sum, so the smaller one is the last letter's; the empty
+    directive has the pair (1, 1).
     """
-    if not v:
-        return 1
-    pa, pb = period_pair(v)
-    return pa if v[-1] == "a" else pb
+    return min(period_pair(v))

@@ -1,16 +1,21 @@
+import argparse
 import contextlib
+import csv
 import io
 import json
 import re
 import subprocess
 import sys
 import time
+import tracemalloc
+from bisect import bisect
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import diatomic.stern as stern_mod
 from conftest import check
 from diatomic import cli
 from diatomic.cli import main
@@ -281,13 +286,15 @@ def test_budget_refusal_names_only_the_bound(capsys, argv, bound):
     assert str(bound) in err and len(err) < 200
 
 
-def test_occ_refuses_a_long_single_run_as_text(capsys):
-    # 120,002 rows are within the cap but past the text limit
-    start = time.perf_counter()
+def test_occ_prints_a_long_single_run_as_text(capsys):
+    # 120,002 rows are within the cap, which is the one row rule in every format
     code, out, err = run_cli(capsys, "occ", "a" * 120_000)
-    assert time.perf_counter() - start < 0.1
-    assert (code, out, err) == (
-        4, "", "120002 rows exceed the text limit of 100000; use --format json or csv\n")
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (0, "", 120_004)
+    _, csv_out, _ = run_cli(capsys, "--format", "csv", "occ", "a" * 120_000)
+    csv_rows = ["  ".join(row) for row in csv.reader(io.StringIO(csv_out))]
+    assert lines[:-1] == csv_rows
+    assert lines[-1] == "word: " + "a" * 120_000 + "ba"
 
 
 LIMIT = sys.get_int_max_str_digits()
@@ -412,35 +419,63 @@ def test_tree_fraction_reads_a_bare_integer_as_p_over_1(capsys):
     assert bare == full and bare[0] == 0
 
 
-def test_occ_text_limit_refuses_before_enumerating(capsys, monkeypatch):
-    # 560,597 rows: past the text limit, within the occurrence cap
+def test_occ_cap_refuses_text_before_enumerating(capsys, monkeypatch):
+    # 3,524,578 rows, past the occurrence cap; the row walk is the only
+    # reader of bisect in stern, so its calls show whether a row was built
     calls = []
-    monkeypatch.setattr(cli, "marked_occurrences", calls.append)
+    monkeypatch.setattr("diatomic.stern.bisect", lambda *a: calls.append(a) or bisect(*a))
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "occ", "ababababababababababababaaa")
+    code, out, err = run_cli(capsys, "occ", "ab" * 15)
     assert time.perf_counter() - start < 0.1
     assert (code, out, calls) == (4, "", [])
-    assert err == "560597 rows exceed the text limit of 100000; use --format json or csv\n"
+    assert err == f"occurrences exceed the cap of {MARKED_OCCURRENCE_CAP}\n"
+    assert run_cli(capsys, "occ", "abab")[0] == 0 and calls
 
 
-@pytest.mark.parametrize("fmt, calls", [("json", 1), ("csv", 1), ("text", 2)])
-def test_occ_counts_its_occurrences_once_unless_text(capsys, monkeypatch, fmt, calls):
-    # only text reads the count for its row limit; marked_occurrences
-    # reads it for the cap in every format
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_occ_counts_its_occurrences_once_in_every_format(capsys, monkeypatch, fmt):
+    # marked_occurrences reads the count for the cap, and nothing else does
     counted = []
-    original = cli._occurrence_count
+    original = stern_mod._occurrence_count
 
     def counting(w):
         counted.append(w)
         return original(w)
 
-    monkeypatch.setattr(cli, "_occurrence_count", counting)
     monkeypatch.setattr("diatomic.stern._occurrence_count", counting)
     assert run_cli(capsys, "--format", fmt, "occ", "abab")[0] == 0
-    assert counted == ["abab"] * calls
+    assert counted == ["abab"]
     # past the cap, each format is refused with the same message
     code, out, err = run_cli(capsys, "--format", fmt, "occ", "ab" * 11000)
     assert (code, out, err) == (4, "", f"occurrences exceed the cap of {MARKED_OCCURRENCE_CAP}\n")
+
+
+def test_occ_text_peaks_no_higher_than_csv():
+    # text writes its table in chunks of lines and csv row by row, so
+    # neither holds the whole table as text; the output is captured as
+    # an embedding program would, in a StringIO; the shared parser is
+    # built first, so that neither run pays for it
+    cli._parser()
+    peaks = {}
+    for fmt in ("csv", "text"):
+        tracemalloc.start()
+        try:
+            assert outcome(["--format", fmt, "occ", "ab" * 10])[0] == 0
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["text"] <= peaks["csv"]
+
+
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 10_000])
+def test_emit_writes_each_text_line_once(capsys, count):
+    # the bytes of "\n".join(lines) + "\n", and nothing for no lines, across
+    # chunk boundaries; empty lines sit inside the chunks too
+    lines = [str(i) if i % 7 else "" for i in range(count)]
+    text = argparse.Namespace(format="text")
+    for given in (lines, (line for line in lines)):
+        assert cli._emit(text, given, {}) == 0
+        assert capsys.readouterr().out == ("\n".join(lines) + "\n" if lines else "")
 
 
 def test_dist_text(capsys):
