@@ -7,6 +7,11 @@ Proper Christoffel words carry an irreducible slope |w|_b / |w|_a and a
 directive word, and are exactly the Lyndon words among Sturmian factors.
 Each class has one recognizer: :func:`palindromes.psi_inverse` for
 central words, :func:`christoffel_of_word` and :func:`is_standard`.
+
+The slope route descends the Christoffel tree.  Words of up to
+``palindromes._BLOCK`` letters descend on ``str``, concatenating the
+labels of the Farey parents; longer ones are written in place into one
+``bytearray``, which costs less per letter at that size.
 """
 
 from __future__ import annotations
@@ -60,14 +65,15 @@ def christoffel_by_slope(p: int, q: int) -> ChristoffelWord:
     is labelled uv.  A run of c steps to the left replaces v by u^c v,
     one of c steps to the right replaces u by u v^c, and c is a Euclid
     quotient of p and q, so the descent takes one step per quotient.
-    Every u is a prefix and every v a suffix of the word, so both are
-    written in place into one buffer of p + q bytes.  The steps are the
-    word's path in the tree, so the runs a^c (left) and b^c (right)
-    spell its directive as the descent goes.  This route never touches
-    palindromization or the directive's periods, so it can cross-validate
-    the directive construction.  A central part longer than
-    ``PSI_LENGTH_BUDGET`` letters raises :class:`BudgetError` before
-    anything is allocated.
+    Words of up to ``palindromes._BLOCK`` letters concatenate u and v as
+    ``str``.  In a longer word every u is a prefix and every v a suffix,
+    so both are written in place into one buffer of p + q bytes, with no
+    temporary of that size.  The steps are the word's path in the tree,
+    so the runs a^c (left) and b^c (right) spell its directive as the
+    descent goes.  This route never touches palindromization or the
+    directive's periods, so it can cross-validate the directive
+    construction.  A central part longer than ``PSI_LENGTH_BUDGET``
+    letters raises :class:`BudgetError` before anything is allocated.
 
     >>> christoffel_by_slope(4, 7).word
     'aabaabaabab'
@@ -83,10 +89,24 @@ def christoffel_by_slope(p: int, q: int) -> ChristoffelWord:
     n = p + q
     palindromes._check_budget(n - 2)
     slope = Frac(p, q)
+    runs = []
+    if n <= palindromes._BLOCK:
+        u, v = "a", "b"  # the parents 0/1 and 1/0
+        while p != q:
+            if p < q:
+                c = (q - 1) // p
+                q -= c * p
+                v = u * c + v
+                runs.append("a" * c)
+            else:
+                c = (p - 1) // q
+                p -= c * q
+                u += v * c
+                runs.append("b" * c)
+        return ChristoffelWord(u + v, slope, "".join(runs))
     word = bytearray(n)
     word[0], word[-1] = ord("a"), ord("b")
     left = right = 1  # u = word[:left] and v = word[n - right:], parents 0/1 and 1/0
-    runs = []
     with memoryview(word) as view:
         while p != q:
             if p < q:

@@ -323,8 +323,10 @@ def _cmd_occ(args: argparse.Namespace) -> int:
     # text and csv spell the markers in the chosen alphabet, column and word
     # alike, and read the same lazy cells: _emit draws on the one it prints
     shown = _render_word(markers, args.alphabet)
+    # a key's positions are those of b w b, 1 to len(w) + 2: each is spelled once
+    spell = [str(i) for i in range(len(w) + 3)].__getitem__
     cells = (
-        (m, ",".join(map(str, key)), ",".join(map(str, key[::-1])))
+        (m, ",".join(map(spell, key)), ",".join(map(spell, key[::-1])))
         for m, key in zip(shown, rows)
     )
     table = map("  ".join, chain([args.csv_header], cells))

@@ -75,13 +75,17 @@ def christoffel_length_cf(v: str) -> tuple[int, int]:
     (a0, ..., an) of ``v``: the length is K[a0+1, a1, ..., a_{n-1}, an+1]
     and the period drops the final entry.
 
-    Purely arithmetic: no word is ever built.
+    Purely arithmetic: no word is ever built.  Both come out of one pass
+    of the continuant recurrence over the entries, the period as the
+    value before the last step.
     """
     rep = reduced_rep(v)
     if len(rep) == 1:
         return rep[0] + 2, 1
-    xs = [rep[0] + 1, *rep[1:-1], rep[-1] + 1]
-    return continuant(xs), continuant(xs[:-1])
+    prev2, prev = 1, rep[0] + 1
+    for x in rep[1:-1]:
+        prev2, prev = prev, x * prev + prev2
+    return (rep[-1] + 1) * prev + prev2, prev
 
 
 def fib(n: int) -> int:

@@ -138,7 +138,9 @@ def _period_pair_capped(v: str, cap: int) -> tuple[int, int]:
 #: ``memoryview``; shorter ones through slices of the ``bytearray``,
 #: which cost less per copy.  It is also the most letters that
 #: psi_inverse copies into one temporary slice, so that each one reuses
-#: memory the allocator already holds.
+#: memory the allocator already holds, and the longest Christoffel word
+#: that ``christoffel_by_slope`` builds by ``str`` concatenation; longer
+#: ones it writes in place, without temporaries of their size.
 _BLOCK = 1 << 16
 
 

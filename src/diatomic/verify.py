@@ -211,8 +211,8 @@ def _(k: int, _n: int):
         f"s at <bwb>, <bwb>+1 for |w| <= {k}, length decompositions for |v| <= {short}",
         (
             w for w in _words_up_to(k)
-            if stern(encode("b" + w + "b")) != sum(period_pair(w))
-            or stern(encode("b" + w + "b") + 1) != min_period_central(w + "b")
+            for n in [encode("b" + w + "b")]
+            if stern(n) != sum(period_pair(w)) or stern(n + 1) != min_period_central(w + "b")
         ),
         (  # s(2n+1) = s(n) + s(n+1) on words: |C(v)| split at either end
             ("decomposition", v) for v in _words_up_to(short) if "a" in v and "b" in v
@@ -396,7 +396,8 @@ def _(k: int, _n: int):
 def _(k: int, _n: int):
     return f"continuant route for |v| <= {k}", (
         v for v in _words_up_to(k)
-        if christoffel_length_cf(v) != (sum(period_pair(v)), min_period_central(v))
+        for pair in [period_pair(v)]
+        if christoffel_length_cf(v) != (sum(pair), min(pair))
     )
 
 

@@ -82,15 +82,48 @@ def test_unit_slope():
 
 
 def test_slope_errors():
-    with pytest.raises(ValueError):
-        christoffel_by_slope(6, 4)
-    with pytest.raises(ValueError):
-        christoffel_by_slope(0, 0)
-    with pytest.raises(ValueError):
-        christoffel_by_slope(-1, 2)
-    # the central part would have PSI_LENGTH_BUDGET + 1 letters
-    with pytest.raises(BudgetError):
-        christoffel_by_slope(1, PSI_LENGTH_BUDGET + 2)
+    cases = [
+        ((6, 4), ValueError, "slope not irreducible: 6/4"),
+        ((0, 0), ValueError, "slope needs non-negative parts, not both zero: 0/0"),
+        ((-1, 2), ValueError, "slope needs non-negative parts, not both zero: -1/2"),
+        # the central part would have PSI_LENGTH_BUDGET + 1 letters
+        (
+            (1, PSI_LENGTH_BUDGET + 2),
+            BudgetError,
+            f"palindromization image exceeds the budget of {PSI_LENGTH_BUDGET} letters",
+        ),
+    ]
+    for (p, q), error, message in cases:
+        with pytest.raises(error) as caught:
+            christoffel_by_slope(p, q)
+        assert type(caught.value) is error and str(caught.value) == message
+
+
+def _coprime_from(p, n):
+    # the first p' >= p coprime to n
+    while gcd(p, n) != 1:
+        p += 1
+    return p
+
+
+@pytest.mark.parametrize("n", [palindromes._BLOCK - 1, palindromes._BLOCK, palindromes._BLOCK + 1])
+def test_slope_paths_on_each_side_of_the_block(n):
+    # words of up to _BLOCK letters descend on str, longer ones in a buffer;
+    # one run each way (1/(n - 1), (n - 1)/1), golden and near-even slopes
+    ps = [1, n - 1, _coprime_from(2, n), _coprime_from(n * 382 // 1000, n)]
+    ps += [_coprime_from(n // 2 - 7, n), _coprime_from(n * 9 // 10, n)]
+    for p in ps:
+        cw = christoffel_by_slope(p, n - p)
+        assert len(cw.word) == n and cw.word == letterwise_christoffel(p, n - p)
+        assert cw == christoffel_by_directive(cw.directive) == christoffel_of_word(cw.word)
+
+
+def test_slope_paths_agree_below_the_block(monkeypatch):
+    # with the threshold lowered, short words take the buffer path too
+    slopes = [(p, n - p) for n in range(2, 101) for p in range(1, n) if gcd(p, n) == 1]
+    on_str = [christoffel_by_slope(p, q) for p, q in slopes]
+    monkeypatch.setattr(palindromes, "_BLOCK", 8)
+    assert [christoffel_by_slope(p, q) for p, q in slopes] == on_str
 
 
 def test_both_routes_read_the_one_psi_budget(monkeypatch):

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -16,6 +17,7 @@ from diatomic.continuants import (
 from diatomic.fracs import Frac, frac
 from diatomic.palindromes import min_period_central, period_pair
 from diatomic.trees import raney, stern_brocot
+from diatomic.words import reduced_rep
 
 entries = st.lists(st.integers(min_value=-9, max_value=9), max_size=12)
 
@@ -92,6 +94,25 @@ def test_length_cf_examples():
     for n in range(1, 8):
         assert christoffel_length_cf("a" * n) == (n + 2, 1)
         assert christoffel_length_cf("b" * n) == (n + 2, 1)
+
+
+def two_continuant_length_cf(v):
+    """Length and period as two separate continuants over the adjusted
+    reduced representation, the second without its last entry."""
+    rep = reduced_rep(v)
+    if len(rep) == 1:
+        return rep[0] + 2, 1
+    xs = [rep[0] + 1, *rep[1:-1], rep[-1] + 1]
+    return continuant(xs), continuant(xs[:-1])
+
+
+def test_length_cf_one_pass_matches_two_continuants():
+    rng = random.Random(36)
+    words = ["", "a", "b"]
+    words += [x * k for x in "ab" for k in range(2, 40)]
+    words += ["".join(rng.choices("ab", k=rng.randrange(65))) for _ in range(200)]
+    for v in words:
+        assert christoffel_length_cf(v) == two_continuant_length_cf(v), v
 
 
 def test_length_cf_matches_period_route():
