@@ -364,6 +364,19 @@ def _(k: int, limit: int):
     )
 
 
+def _mediant_label(w: str) -> tuple[int, int]:
+    """Stern-Brocot label of the node ``w`` as the mediant of its bounds:
+    from 0/1 and 1/0, each a lowers the upper bound to the mediant and
+    each b raises the lower one.  It shares no code with ``period_pair``."""
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    for x in w:
+        if x == "a":
+            p1, q1 = p0 + p1, q0 + q1
+        else:
+            p0, q0 = p0 + p1, q0 + q1
+    return p0 + p1, q0 + q1
+
+
 @_check("tree-duality", k=12)
 def _(k: int, _n: int):
     short = min(k, 10)
@@ -373,7 +386,7 @@ def _(k: int, _n: int):
         (
             w for w in _words_up_to(k)
             for ra in [raney(w)]
-            if stern_brocot(w) != raney(w[::-1])
+            if stern_brocot(w) != _mediant_label(w)
             or raney(complement(w)) != ra.inverse
             or path_of_fraction(ra, "raney") != w
         ),

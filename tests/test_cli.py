@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import re
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cli_golden
 import diatomic.stern as stern_mod
 from conftest import check
 from diatomic import cli
@@ -859,3 +861,45 @@ def test_fuzzed_argv_exits_with_a_documented_code(data):
     may_disagree = command == "verify" or argv[-2:] == ["--method", "all"]
     assert code in {0, 2, 3, 4, 5} or (code == 6 and may_disagree), argv
     assert "Traceback" not in err
+
+
+class Digest(io.RawIOBase):
+    """A binary stdout that keeps only the byte count and sha256 of what
+    it is sent, so a 24 MB output is never held."""
+
+    def __init__(self):
+        self.size, self.sha256 = 0, hashlib.sha256()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.size += len(data)
+        self.sha256.update(data)
+        return len(data)
+
+
+PINS = cli_golden.pins()
+
+
+@pytest.mark.parametrize("pin", PINS, ids=[pin.text for pin in PINS])
+def test_golden_corpus(pin):
+    digest = Digest()
+    # newline="\n" writes each "\n" as it is, as a pipe on POSIX receives it
+    with io.TextIOWrapper(io.BufferedWriter(digest), encoding="utf-8", newline="\n") as stdout:
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(stdout):
+            try:
+                code = main(list(pin.argv))
+            except SystemExit as exc:  # argparse's refusals
+                code = exc.code
+        stdout.flush()
+        elapsed = time.perf_counter() - start
+    assert (code, digest.size, digest.sha256.hexdigest()) == pin[:3]
+    assert elapsed <= pin.seconds
+
+
+def test_golden_corpus_runs_every_listed_command():
+    commands = listed_commands()
+    pinned = {next((arg for arg in pin.argv if arg in commands), None) for pin in PINS}
+    assert pinned == set(commands)
