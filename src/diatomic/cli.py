@@ -210,6 +210,15 @@ def _parser() -> tuple[argparse.ArgumentParser, list[str]]:
     return parser, [name for action in fractions for name in action.option_strings]
 
 
+def _write_lines(lines: Iterable[str]) -> None:
+    # a few thousand lines at a time, so no table is held whole as text;
+    # each chunk's last newline is joined in, not concatenated
+    lines = iter(lines)
+    while chunk := list(islice(lines, 4096)):
+        chunk.append("")
+        sys.stdout.write("\n".join(chunk))
+
+
 def _emit(args: argparse.Namespace, text_lines: Iterable[str], payload: dict,
           csv_rows: Iterable[Sequence] = ()) -> int:
     if args.format == "json":
@@ -219,12 +228,7 @@ def _emit(args: argparse.Namespace, text_lines: Iterable[str], payload: dict,
         writer.writerow(args.csv_header)
         writer.writerows(csv_rows)
     else:
-        # a few thousand lines at a time, so no table is held whole as
-        # text; each chunk's last newline is joined in, not concatenated
-        lines = iter(text_lines)
-        while chunk := list(islice(lines, 4096)):
-            chunk.append("")
-            sys.stdout.write("\n".join(chunk))
+        _write_lines(text_lines)
     return EXIT_OK
 
 
@@ -321,7 +325,7 @@ def _cmd_occ(args: argparse.Namespace) -> int:
         write(f'], "word": {json.dumps(w)}}}\n')
         return EXIT_OK
     # text and csv spell the markers in the chosen alphabet, column and word
-    # alike, and read the same lazy cells: _emit draws on the one it prints
+    # alike, and read the same lazy cells, each format in its own lines
     shown = _render_word(markers, args.alphabet)
     # a key's positions are those of b w b, 1 to len(w) + 2: each is spelled once
     spell = [str(i) for i in range(len(w) + 3)].__getitem__
@@ -329,8 +333,18 @@ def _cmd_occ(args: argparse.Namespace) -> int:
         (m, ",".join(map(spell, key)), ",".join(map(spell, key[::-1])))
         for m, key in zip(shown, rows)
     )
+    if args.format == "csv":
+        # csv.writer's bytes, preformatted: a key and its occurrence list
+        # the same positions, so both are quoted exactly when they hold a
+        # comma, and a marker never needs quotes
+        _write_lines(chain(
+            [",".join(args.csv_header)],
+            (f'{m},"{key}","{occ}"' if "," in key else f"{m},{key},{occ}"
+             for m, key, occ in cells),
+        ))
+        return EXIT_OK
     table = map("  ".join, chain([args.csv_header], cells))
-    return _emit(args, chain(table, [f"word: {shown}"]), {}, cells)
+    return _emit(args, chain(table, [f"word: {shown}"]), {})
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:

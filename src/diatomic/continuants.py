@@ -30,13 +30,18 @@ def continuant(xs: Iterable[int]) -> int:
 def cf_value(coeffs: list[int]) -> Frac:
     """Value of the continued fraction [c0; c1, ..., cn] as a reduced
     fraction, K[c0..cn] / K[c1..cn], with any sign on the numerator.
+
+    A continuant reads the same backwards, so one pass from cn down to c0
+    yields both: K[ci..cn] = ci K[c(i+1)..cn] + K[c(i+2)..cn].
     """
     if not coeffs:
         raise ValueError("continued fraction needs at least one coefficient")
-    den = continuant(coeffs[1:])
+    num, den = 1, 0  # K[] and the value one step before it
+    for c in reversed(coeffs):
+        num, den = c * num + den, num
     if den == 0:
         raise ValueError(f"continued fraction {coeffs} has a zero denominator")
-    return frac(continuant(coeffs), den)
+    return frac(num, den)
 
 
 def cf_terms(p: int, q: int) -> list[int]:

@@ -14,11 +14,14 @@ a short prefix of reverse(w), found and confirmed in C.  Words where
 too many candidates fail, periodic ones, fall back on the
 Knuth-Morris-Pratt loop, which keeps the worst case linear.
 
-Images are built on bytes: one loop writes an image into a ``bytearray``
-allocated at its final length, copying the current minimal period within
-it, and serves psi, psi_prefix and framed_psi (the Christoffel word
-a psi(v) b).  psi_inverse builds no image: it reads the directive off
-the word run by run and compares the word with itself in place.
+Each step extends the image by its new minimal period.  Images of up to
+``_BLOCK`` letters are built by ``str`` concatenation, which costs least
+per call at that size.  Longer ones are built on bytes: one loop writes
+an image into a ``bytearray`` allocated at its final length, copying the
+current minimal period within it, and serves psi, psi_prefix and
+framed_psi (the Christoffel word a psi(v) b).  psi_inverse builds no
+image: it reads the directive off the word run by run and compares the
+word with itself in place.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from itertools import chain, cycle
 from typing import Iterable
 
-from .words import BudgetError, _borders, check_word, complement
+from .words import BudgetError, _borders, check_word
 
 #: Ceiling (in letters) for materialized palindromization images.
 #: Image length is Fibonacci-like in the directive length, so this guards
@@ -134,18 +137,22 @@ def _period_pair_capped(v: str, cap: int) -> tuple[int, int]:
         n *= 2
 
 
-#: Images longer than this many letters copy their periods through a
-#: ``memoryview``; shorter ones through slices of the ``bytearray``,
-#: which cost less per copy.  It is also the most letters that
-#: psi_inverse copies into one temporary slice, so that each one reuses
-#: memory the allocator already holds, and the longest Christoffel word
-#: that ``christoffel_by_slope`` builds by ``str`` concatenation; longer
-#: ones it writes in place, without temporaries of their size.
+#: The longest image that psi and framed_psi build by ``str``
+#: concatenation; longer ones, and every psi_prefix, are written into one
+#: ``bytearray``, copying their periods through a ``memoryview`` past
+#: this many letters and through slices of the ``bytearray`` below it.
+#: It is also the longest word that psi_inverse reads one run per
+#: strided slice and compares with itself at once; longer words it reads
+#: and compares in slices of at most this many letters, so that each
+#: temporary reuses memory the allocator already holds.  And it is the
+#: longest Christoffel word that ``christoffel_by_slope`` builds by
+#: ``str`` concatenation; longer ones it writes in place, without
+#: temporaries of their size.
 _BLOCK = 1 << 16
 
 
 def _fill(image: bytearray, letters: Iterable[str], start: int, stop: int) -> None:
-    # the one growth loop: writes the image of the directive ``letters``
+    # the growth loop on bytes: writes the image of the directive ``letters``
     # into image[start:stop] (not empty), each letter extending it by the
     # new minimal period p, and returns once the stretch is full
     buffer = memoryview(image) if stop - start > _BLOCK else image
@@ -166,6 +173,24 @@ def _fill(image: bytearray, letters: Iterable[str], start: int, stop: int) -> No
             return
         buffer[n:end] = buffer[n - p : end - p]
         n = end
+
+
+def _short_image(v: str) -> str:
+    # psi(v) on ``str``, for images of at most ``_BLOCK`` letters: the
+    # growth rule of _fill, each letter extending the image w by its new
+    # minimal period p, as concatenations
+    w = ""
+    pa = pb = 1
+    for x in v:
+        if x == "a":
+            p, pb = pa, pa + pb
+        else:
+            p, pa = pb, pa + pb
+        if p == len(w) + 1:  # x has not occurred yet: the closure is w x w
+            w = w + x + w
+        else:  # the new letters repeat the last p
+            w += w[len(w) - p :]
+    return w
 
 
 def _check_budget(length: int, what: str = "palindromization image") -> int:
@@ -192,26 +217,33 @@ def psi(v: str) -> str:
     instead of rescanning for palindromic suffixes.  A directive with a
     letter other than a and b raises ValueError.  The image length
     pa + pb - 2 is known next: when it exceeds ``PSI_LENGTH_BUDGET`` a
-    :class:`BudgetError` is raised before anything is allocated, and
-    otherwise the image is written into one buffer of its final size.
+    :class:`BudgetError` is raised before anything is allocated.  An
+    image of up to ``_BLOCK`` letters is then built by ``str``
+    concatenation, and a longer one written into one buffer of its final
+    size.
 
     >>> psi("aba")
     'abaaba'
     """
     length = _image_length(v)
+    if length <= _BLOCK:
+        return _short_image(v)
     image = bytearray(length)
     _fill(image, v, 0, length)
     return image.decode()
 
 
 def framed_psi(v: str) -> str:
-    """The Christoffel word a psi(v) b, written into one buffer and
-    decoded once, with psi's letter and budget checks first.
+    """The Christoffel word a psi(v) b, with psi's letter and budget
+    checks first: framed on ``str`` up to ``_BLOCK`` central letters,
+    past them written into one buffer and decoded once.
 
     >>> framed_psi("abaa")
     'aabaabaabab'
     """
     length = _image_length(v)
+    if length <= _BLOCK:
+        return "a" + _short_image(v) + "b"
     image = bytearray(length + 2)
     image[0], image[-1] = ord("a"), ord("b")
     _fill(image, v, 1, length + 1)
@@ -258,8 +290,11 @@ def _run_length(w: str, i: int, p: int, other: str) -> int:
 
 
 def _has_period(w: str, p: int) -> bool:
-    # w repeats with period p, compared a block at a time
+    # w repeats with period p: w[p:] is a prefix of w, compared at once
+    # up to ``_BLOCK`` letters and a block at a time past them
     stop = len(w)
+    if stop <= _BLOCK:
+        return w.startswith(w[p:])
     for i in range(p, stop, _BLOCK):
         j = i + _BLOCK if i + _BLOCK < stop else stop
         if not w.startswith(w[i - p : j - p], i):
@@ -274,11 +309,13 @@ def psi_inverse(w: str) -> str | None:
     directive prefix, so each directive letter x is the letter right
     after the image read so far, and it extends the image by the period
     p_x.  The directive is read run by run: a run of x lasts while every
-    p_x-th letter repeats it, read in strided slices.  The word is then
-    central exactly when the image ends at its last letter and the word
-    has both periods p_a and p_b: a word of length p_a + p_b - 2 with
-    both periods is fixed by two letters (Fine and Wilf), its first
-    letter and the first occurrence of the other, and both were read.
+    p_x-th letter repeats it, read in one strided slice in a word of up
+    to ``_BLOCK`` letters and in slices of growing size past them.  The
+    word is then central exactly when the image ends at its last letter
+    and the word has both periods p_a and p_b: a word of length
+    p_a + p_b - 2 with both periods is fixed by two letters (Fine and
+    Wilf), its first letter and the first occurrence of the other, and
+    both were read.
     Words with a letter other than a and b are not central.
 
     >>> psi_inverse("abaaba")
@@ -287,6 +324,7 @@ def psi_inverse(w: str) -> str | None:
     runs = []
     pa = pb = 1
     n = 0
+    short = len(w) <= _BLOCK  # each run read in one strided slice
     while n < len(w):
         x = w[n]
         if x == "a":
@@ -297,7 +335,13 @@ def psi_inverse(w: str) -> str | None:
             return None
         # a letter that is neither counts as x in the run and fails the
         # period check
-        c = _run_length(w, n, p, other)
+        if short:
+            run = w[n::p]
+            c = run.find(other)
+            if c < 0:
+                c = len(run)
+        else:
+            c = _run_length(w, n, p, other)
         runs.append(x * c)
         if x == "a":
             pb += c * pa
@@ -319,8 +363,12 @@ def mu(v: str, w: str) -> str:
     """
     out = w
     for x in reversed(v):
-        y = complement(x)
-        out = out.replace(y, x + y)
+        if x == "a":
+            out = out.replace("b", "ab")
+        elif x == "b":
+            out = out.replace("a", "ba")
+        else:  # any other letter is its own complement: each one doubles
+            out = out.replace(x, x + x)
     return out
 
 

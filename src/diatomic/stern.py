@@ -1,15 +1,16 @@
 """Stern's diatomic sequence and its word-combinatorial readings.
 
 The sequence s(0) = 0, s(1) = 1, s(2n) = s(n), s(2n+1) = s(n) + s(n+1)
-is evaluated by four independent routes: the defining recurrence, the
-Christoffel-length correspondence (odd arguments are lengths of
-Christoffel words, even ones minimal periods of central words), the
-Calkin-Wilf subword count (occurrences of b(ab)* patterns in the binary
-expansion), and a signed continuant over the ruler-sequence entries,
-read off O(log n) dyadic block products of 2x2 matrices.  The routes
-share no code, so their agreement is a meaningful check; the running
-continuant :func:`zeta_sterns`, which yields every value up to a limit,
-shares none with the block products either.
+is evaluated by four independent routes: the defining recurrence, read
+eight binary digits per step from a table of byte steps that the same
+recurrence builds, the Christoffel-length correspondence (odd arguments
+are lengths of Christoffel words, even ones minimal periods of central
+words), the Calkin-Wilf subword count (occurrences of b(ab)* patterns in
+the binary expansion), and a signed continuant over the ruler-sequence
+entries, read off O(log n) dyadic block products of 2x2 matrices.  The
+routes share no code, so their agreement is a meaningful check; the
+running continuant :func:`zeta_sterns`, which yields every value up to a
+limit, shares none with the block products either.
 
 The module also houses the occurrence-level refinement of the
 Calkin-Wilf theorem (sorted marked occurrences spell out a standard
@@ -27,11 +28,33 @@ from .palindromes import _period_pair_capped, period_pair
 from .words import BudgetError, check_word, complement, decode, encode, integral_rep, plus_prefix
 
 
+def _digit_steps(byte: int) -> tuple[int, int, int, int]:
+    # the eight digit steps of ``byte``, highest digit first, composed:
+    # they move the pair (u, v) to (a u + b v, c u + d v)
+    a, b, c, d = 1, 0, 0, 1
+    for digit in format(byte, "08b"):
+        if digit == "1":  # u += v
+            a, b = a + c, b + d
+        else:  # v += u
+            c, d = c + a, d + b
+    return a, b, c, d
+
+
+#: The composed digit steps of each byte value, built once from the
+#: recurrence that ``stern`` reads them for.
+_BYTE_STEPS = tuple(map(_digit_steps, range(256)))
+
+
 def stern(n: int) -> int:
-    """s(n) by the halving recurrence, read from the top binary digit down.
+    """s(n) by the halving recurrence, read from the top binary digit down,
+    eight digits per step.
 
     The pair (s(m), s(m+1)) starts at m = 0; each digit d of n moves it
-    to m' = 2m + d by s(2m) = s(m) and s(2m+1) = s(m) + s(m+1).
+    to m' = 2m + d by s(2m) = s(m) and s(2m+1) = s(m) + s(m+1).  The
+    eight steps of a byte compose to one linear map of the pair, read
+    from ``_BYTE_STEPS``, a table of 256 built from these same digit
+    steps, so the loop takes one step per byte of n, highest first.
+    Leading zero digits leave the starting pair (0, 1) as it is.
 
     >>> [stern(n) for n in range(12)]
     [0, 1, 1, 2, 1, 3, 2, 3, 1, 4, 3, 5]
@@ -39,11 +62,9 @@ def stern(n: int) -> int:
     if n < 0:
         raise ValueError("Stern's sequence is indexed by non-negative integers")
     u, v = 0, 1
-    for digit in format(n, "b"):
-        if digit == "1":
-            u += v
-        else:
-            v += u
+    for byte in n.to_bytes((n.bit_length() + 7) >> 3, "big"):
+        a, b, c, d = _BYTE_STEPS[byte]
+        u, v = a * u + b * v, c * u + d * v
     return u
 
 

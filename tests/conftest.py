@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -15,6 +16,26 @@ def words_up_to(k):
 def words_of_length(k):
     for letters in itertools.product("ab", repeat=k):
         yield "".join(letters)
+
+
+def letterwise_christoffel(p, q):
+    """Christoffel word of slope p/q read off the values i*p mod (p+q):
+    positions where the value increases carry a, the others b."""
+    n = p + q
+    letters = []
+    prev = 0
+    for _ in range(n):
+        cur = (prev + p) % n
+        letters.append("a" if cur > prev else "b")
+        prev = cur
+    return "".join(letters)
+
+
+def coprime_from(p, n):
+    """The first p' >= p coprime to n."""
+    while math.gcd(p, n) != 1:
+        p += 1
+    return p
 
 
 def check(name):

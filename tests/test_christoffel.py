@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import words_up_to
+from conftest import coprime_from, letterwise_christoffel, words_up_to
 from diatomic.christoffel import (
     christoffel_by_directive,
     christoffel_by_slope,
@@ -23,19 +23,6 @@ from diatomic.palindromes import (
     psi_inverse,
 )
 from diatomic.words import BudgetError, complement, is_lyndon, min_period
-
-
-def letterwise_christoffel(p, q):
-    """Christoffel word of slope p/q read off the values i*p mod (p+q):
-    positions where the value increases carry a, the others b."""
-    n = p + q
-    letters = []
-    prev = 0
-    for _ in range(n):
-        cur = (prev + p) % n
-        letters.append("a" if cur > prev else "b")
-        prev = cur
-    return "".join(letters)
 
 
 def brute_standard_factorization(w):
@@ -99,19 +86,12 @@ def test_slope_errors():
         assert type(caught.value) is error and str(caught.value) == message
 
 
-def _coprime_from(p, n):
-    # the first p' >= p coprime to n
-    while gcd(p, n) != 1:
-        p += 1
-    return p
-
-
 @pytest.mark.parametrize("n", [palindromes._BLOCK - 1, palindromes._BLOCK, palindromes._BLOCK + 1])
 def test_slope_paths_on_each_side_of_the_block(n):
     # words of up to _BLOCK letters descend on str, longer ones in a buffer;
     # one run each way (1/(n - 1), (n - 1)/1), golden and near-even slopes
-    ps = [1, n - 1, _coprime_from(2, n), _coprime_from(n * 382 // 1000, n)]
-    ps += [_coprime_from(n // 2 - 7, n), _coprime_from(n * 9 // 10, n)]
+    ps = [1, n - 1, coprime_from(2, n), coprime_from(n * 382 // 1000, n)]
+    ps += [coprime_from(n // 2 - 7, n), coprime_from(n * 9 // 10, n)]
     for p in ps:
         cw = christoffel_by_slope(p, n - p)
         assert len(cw.word) == n and cw.word == letterwise_christoffel(p, n - p)

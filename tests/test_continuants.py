@@ -1,3 +1,4 @@
+import itertools
 import random
 from itertools import combinations
 
@@ -75,6 +76,20 @@ def test_cf_value_examples():
         cf_value([])
     with pytest.raises(ValueError):
         cf_value([1, 0])
+
+
+def test_cf_value_is_the_quotient_of_two_continuants():
+    # every list of up to four entries in -3..3: negative and zero entries,
+    # and the zero denominators, such as [2, 1, -1], that cf_value refuses
+    for m in range(1, 5):
+        for cs in map(list, itertools.product(range(-3, 4), repeat=m)):
+            den = continuant(cs[1:])
+            if den == 0:
+                with pytest.raises(ValueError) as caught:
+                    cf_value(cs)
+                assert str(caught.value) == f"continued fraction {cs} has a zero denominator"
+            else:
+                assert cf_value(cs) == frac(continuant(cs), den)
 
 
 def test_mirror_formula_examples():

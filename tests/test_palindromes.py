@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import words_up_to
+from conftest import coprime_from, letterwise_christoffel, words_up_to
 from diatomic import palindromes
 from diatomic.palindromes import (
     PSI_LENGTH_BUDGET,
@@ -319,6 +319,78 @@ def test_psi_inverse_matches_growing_reader_near_central_words(v, at, letter):
         i = at % len(w)
         flipped = w[:i] + letter + w[i + 1 :]
         assert psi_inverse(flipped) == growing_psi_inverse(flipped)
+
+
+def directive_by_subtraction(p, q):
+    """The directive of slope p/q, one letter per subtraction of Euclid's
+    algorithm: a while p < q, b while p > q."""
+    letters = []
+    while p != q:
+        if p < q:
+            q -= p
+            letters.append("a")
+        else:
+            p -= q
+            letters.append("b")
+    return "".join(letters)
+
+
+@pytest.mark.parametrize("n", [palindromes._BLOCK - 1, palindromes._BLOCK, palindromes._BLOCK + 1])
+def test_image_paths_on_each_side_of_the_block(n):
+    # images of up to _BLOCK letters are built on str and read one slice
+    # per run, longer ones in a buffer and in growing slices; a golden
+    # slope, and a near-even one whose directive has a run of thousands
+    for p in (coprime_from(n * 382 // 1000, n + 2), coprime_from(n // 2 - 7, n + 2)):
+        framed = letterwise_christoffel(p, n + 2 - p)
+        v = directive_by_subtraction(p, n + 2 - p)
+        w = framed[1:-1]
+        assert len(w) == n
+        assert psi(v) == w and palindromes.framed_psi(v) == framed
+        assert psi_inverse(w) == v
+        i = len(w) // 2 + 3
+        assert psi_inverse(w[:i] + complement(w[i]) + w[i + 1 :]) is None
+        assert psi_inverse(w[:i] + "c" + w[i + 1 :]) is None
+
+
+def test_image_paths_agree_below_the_block(monkeypatch):
+    # with the threshold lowered, short images take the buffer path too
+    directives = list(words_up_to(12))
+    images = [psi(v) for v in directives]
+    framed = [palindromes.framed_psi(v) for v in directives]
+    monkeypatch.setattr(palindromes, "_BLOCK", 8)
+    assert [psi(v) for v in directives] == images
+    assert [palindromes.framed_psi(v) for v in directives] == framed
+    assert [psi_inverse(w) for w in images] == directives
+
+
+def test_psi_inverse_rejects_on_the_long_word_path(monkeypatch):
+    # past a lowered _BLOCK, the words of test_psi_inverse_all_short_words
+    # and of test_psi_inverse_rejects_other_letters take the long-word path
+    monkeypatch.setattr(palindromes, "_BLOCK", 1)
+    central = {psi(v): v for v in words_up_to(12)}
+    for w in words_up_to(12):
+        assert psi_inverse(w) == central.get(w)
+    for w in ["c", "ac", "aca", "cac", "abc", "abcaba", "€", "a€a", "aba\n", "a" * 20 + "c"]:
+        assert psi_inverse(w) is None
+
+
+def complement_mu(v, w):
+    """mu_v(w) by its definition: each letter x of v, last first, sends
+    its complement y to x y."""
+    for x in reversed(v):
+        y = complement(x)
+        w = w.replace(y, x + y)
+    return w
+
+
+def test_mu_matches_the_complement_form():
+    short = list(words_up_to(6))
+    for v in short:
+        for w in short:
+            assert mu(v, w) == complement_mu(v, w)
+    # a letter other than a and b is its own complement
+    for v, w in [("c", "abc"), ("acb", "cabc"), ("a", "c"), ("cab", "bca"), ("€", "a€b")]:
+        assert mu(v, w) == complement_mu(v, w)
 
 
 def test_psi_inverse_roundtrip():

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -72,6 +73,35 @@ def test_descent_matches_recurrence():
         half, odd = divmod(n, 2)
         table.append(table[half] + table[half + 1] if odd else table[half])
     assert [stern(n) for n in range(2**14)] == table
+
+
+def letterwise_stern(n):
+    """The halving recurrence one binary digit per step, top digit first."""
+    u, v = 0, 1
+    for digit in format(n, "b"):
+        if digit == "1":
+            u += v
+        else:
+            v += u
+    return u
+
+
+def test_byte_steps_match_letterwise_on_every_short_argument():
+    assert [stern(n) for n in range(2**17)] == [letterwise_stern(n) for n in range(2**17)]
+
+
+@pytest.mark.parametrize("j", range(9))
+def test_byte_steps_on_each_side_of_a_byte_boundary(j):
+    for n in (2 ** (8 * j) - 1, 2 ** (8 * j), 2 ** (8 * j) + 1):
+        assert stern(n) == letterwise_stern(n)
+
+
+def test_byte_steps_on_long_arguments():
+    # up to 14,000 bits, about the largest n of 4,300 decimal digits
+    rng = random.Random(38)
+    for _ in range(50):
+        n = rng.getrandbits(rng.randrange(1, 14001))
+        assert stern(n) == letterwise_stern(n)
 
 
 @given(st.integers(min_value=0, max_value=2**1100))

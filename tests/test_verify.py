@@ -255,6 +255,19 @@ def test_the_short_zeta_range_reaches_every_block_level(monkeypatch, j):
     assert result.detail.endswith(f"; first failure: ('stern_via_zeta', {2**j + 1})")
 
 
+@pytest.mark.parametrize("byte, first", [(0, 256), (1, 1), (37, 37), (255, 255)])
+def test_a_wrong_byte_step_names_the_first_n_that_reads_it(monkeypatch, byte, first):
+    # one entry of stern's byte table moves u by one more v: s(n) is wrong
+    # at the least n whose bytes hold that byte, where u or v is nonzero.
+    # A leading byte is never 0, so 256 = 0x0100 reads entry 0 first
+    steps = list(stern._BYTE_STEPS)
+    a, b, c, d = steps[byte]
+    steps[byte] = (a, b + 1, c, d)
+    monkeypatch.setattr(stern, "_BYTE_STEPS", tuple(steps))
+    result = check("stern-evaluator-agreement")(0, 4096)
+    assert not result.ok and result.detail.endswith(f"; first failure: {first}")
+
+
 def test_each_check_has_one_name_the_one_it_prints():
     names = [c.__name__ for c in verify.ALL_CHECKS]
     assert names == [r.name for r in verify.run_checks(0, 0)]
