@@ -8,10 +8,11 @@ directive word, and are exactly the Lyndon words among Sturmian factors.
 Each class has one recognizer: :func:`palindromes.psi_inverse` for
 central words, :func:`christoffel_of_word` and :func:`is_standard`.
 
-The slope route descends the Christoffel tree.  Words of up to
-``palindromes._BLOCK`` letters descend on ``str``, concatenating the
-labels of the Farey parents; longer ones are written in place into one
-``bytearray``, which costs less per letter at that size.
+The slope route descends the Christoffel tree, concatenating the labels
+of the Farey parents.  Words of up to ``palindromes._BLOCK`` letters
+descend on ``str``; longer ones descend on lists of ``str`` pieces and
+are joined once at the end, so the word is the only allocation of its
+size.
 """
 
 from __future__ import annotations
@@ -46,15 +47,18 @@ class ChristoffelWord(NamedTuple):
         return None if self.directive is None else len(self.directive)
 
 
-def _repeat(word: memoryview, at: int, source: int, size: int, count: int) -> None:
-    # writes count copies of word[source : source + size] from ``at`` on,
-    # each copy doubling the stretch already written
-    word[at : at + size] = word[source : source + size]
-    done, total = size, size * count
-    while done < total:
-        step = min(done, total - done)
-        word[at + done : at + done + step] = word[at : at + step]
-        done += step
+def _repeat(label: list[str], size: int, count: int) -> list[str]:
+    # count copies of ``label`` (pieces, ``size`` letters), as pieces; a
+    # label shorter than _BLOCK is joined and repeated as one str, in
+    # pieces of more than _BLOCK letters past them, so that a word of N
+    # letters stays O(N / _BLOCK) pieces
+    if size >= palindromes._BLOCK:
+        return label * count
+    word = "".join(label)
+    per = palindromes._BLOCK // size + 1  # copies in one piece
+    if count < per:
+        return [word * count]
+    return [word * per] * (count // per) + [word * (count % per)]
 
 
 def christoffel_by_slope(p: int, q: int) -> ChristoffelWord:
@@ -66,11 +70,10 @@ def christoffel_by_slope(p: int, q: int) -> ChristoffelWord:
     one of c steps to the right replaces u by u v^c, and c is a Euclid
     quotient of p and q, so the descent takes one step per quotient.
     Words of up to ``palindromes._BLOCK`` letters concatenate u and v as
-    ``str``.  In a longer word every u is a prefix and every v a suffix,
-    so both are written in place into one buffer of p + q bytes, with no
-    temporary of that size.  The steps are the word's path in the tree,
-    so the runs a^c (left) and b^c (right) spell its directive as the
-    descent goes.  This route never touches palindromization or the
+    ``str``.  Longer ones concatenate them as lists of ``str`` pieces and
+    join the word once, with no temporary of its size.  The steps are the
+    word's path in the tree, so the runs a^c (left) and b^c (right) spell
+    its directive as the descent goes.  This route never touches palindromization or the
     directive's periods, so it can cross-validate the directive
     construction.  A central part longer than ``PSI_LENGTH_BUDGET``
     letters raises :class:`BudgetError` before anything is allocated.
@@ -104,29 +107,27 @@ def christoffel_by_slope(p: int, q: int) -> ChristoffelWord:
                 u += v * c
                 runs.append("b" * c)
         return ChristoffelWord(u + v, slope, "".join(runs))
-    word = bytearray(n)
-    word[0], word[-1] = ord("a"), ord("b")
-    left = right = 1  # u = word[:left] and v = word[n - right:], parents 0/1 and 1/0
-    with memoryview(word) as view:
-        while p != q:
-            if p < q:
-                c = (q - 1) // p
-                q -= c * p
-                _repeat(view, n - right - c * left, 0, left, c)
-                right += c * left
-                runs.append("a" * c)
-            else:
-                c = (p - 1) // q
-                p -= c * q
-                _repeat(view, left, n - right, right, c)
-                left += c * right
-                runs.append("b" * c)
-    return ChristoffelWord(word.decode(), slope, "".join(runs))
+    u, v = ["a"], ["b"]  # the parents as pieces, of left and right letters
+    left = right = 1
+    while p != q:
+        if p < q:
+            c = (q - 1) // p
+            q -= c * p
+            v = _repeat(u, left, c) + v
+            right += c * left
+            runs.append("a" * c)
+        else:
+            c = (p - 1) // q
+            p -= c * q
+            u += _repeat(v, right, c)
+            left += c * right
+            runs.append("b" * c)
+    return ChristoffelWord("".join(u + v), slope, "".join(runs))
 
 
 def christoffel_by_directive(v: str) -> ChristoffelWord:
-    """Proper Christoffel word a psi(v) b with directive ``v``, written
-    into one buffer by :func:`framed_psi`, which checks the central part
+    """Proper Christoffel word a psi(v) b with directive ``v``, built as
+    one ``str`` by :func:`framed_psi`, which checks the central part
     against ``PSI_LENGTH_BUDGET`` first.
 
     >>> christoffel_by_directive("abaa").word

@@ -16,18 +16,17 @@ Knuth-Morris-Pratt loop, which keeps the worst case linear.
 
 Each step extends the image by its new minimal period.  Images of up to
 ``_BLOCK`` letters are built by ``str`` concatenation, which costs least
-per call at that size.  Longer ones are built on bytes: one loop writes
-an image into a ``bytearray`` allocated at its final length, copying the
-current minimal period within it, and serves psi, psi_prefix and
-framed_psi (the Christoffel word a psi(v) b).  psi_inverse builds no
+per call at that size.  Longer ones are joined once from pieces: through
+a run of x that starts at v[i], psi(v) repeats its block psi(v[:i - 1])
+v[i - 1] x, so each run's block is the block below it repeated, as a
+list of the same ``str`` pieces, plus two letters.  The joined word is
+the only allocation of its size, and one builder serves psi, psi_prefix
+and framed_psi (the Christoffel word a psi(v) b).  psi_inverse builds no
 image: it reads the directive off the word run by run and compares the
 word with itself in place.
 """
 
 from __future__ import annotations
-
-from itertools import chain, cycle
-from typing import Iterable
 
 from .words import BudgetError, _borders, check_word
 
@@ -138,47 +137,71 @@ def _period_pair_capped(v: str, cap: int) -> tuple[int, int]:
 
 
 #: The longest image that psi and framed_psi build by ``str``
-#: concatenation; longer ones, and every psi_prefix, are written into one
-#: ``bytearray``, copying their periods through a ``memoryview`` past
-#: this many letters and through slices of the ``bytearray`` below it.
-#: It is also the longest word that psi_inverse reads one run per
-#: strided slice and compares with itself at once; longer words it reads
-#: and compares in slices of at most this many letters, so that each
-#: temporary reuses memory the allocator already holds.  And it is the
-#: longest Christoffel word that ``christoffel_by_slope`` builds by
-#: ``str`` concatenation; longer ones it writes in place, without
-#: temporaries of their size.
+#: concatenation; longer ones, and every psi_prefix, are joined from a
+#: list of ``str`` pieces, in which a period shorter than this is first
+#: repeated into one piece past it, so that an image of N letters is
+#: O(N / ``_BLOCK``) pieces.  It is also
+#: the longest word that psi_inverse reads one run per strided slice and
+#: compares with itself at once; longer words it reads and compares in
+#: slices of at most this many letters, so that each temporary reuses
+#: memory the allocator already holds.  And it is the longest Christoffel
+#: word that ``christoffel_by_slope`` builds by ``str`` concatenation;
+#: longer ones it joins from pieces the same way.
 _BLOCK = 1 << 16
 
 
-def _fill(image: bytearray, letters: Iterable[str], start: int, stop: int) -> None:
-    # the growth loop on bytes: writes the image of the directive ``letters``
-    # into image[start:stop] (not empty), each letter extending it by the
-    # new minimal period p, and returns once the stretch is full
-    buffer = memoryview(image) if stop - start > _BLOCK else image
+def _cycle(block: list[str], size: int, n: int) -> list[str]:
+    # the first n letters of the word ``block`` (pieces, ``size`` letters)
+    # repeated, as pieces.  A block shorter than _BLOCK is joined and
+    # repeated as one str: to n letters when n <= _BLOCK, or else to whole
+    # copies past _BLOCK letters, which repeat as one piece
+    if size < _BLOCK:
+        word = "".join(block)
+        if n <= _BLOCK:
+            return [word * (n // size) + word[: n % size]]
+        block = [word * (_BLOCK // size + 1)]
+        size = len(block[0])
+    pieces = block * (n // size)
+    rest = n % size
+    for piece in block:  # rest < size: some piece holds the last letter
+        if rest <= len(piece):
+            break
+        pieces.append(piece)
+        rest -= len(piece)
+    pieces.append(piece[:rest])
+    return pieces
+
+
+def _image_pieces(v: str, n: int) -> list[str]:
+    # the first n letters of psi(v x x x ...), x the last letter of v, as
+    # pieces.  Through a run of x from v[i] on, the image repeats the
+    # block psi(v[:i - 1]) v[i - 1] x of p_x letters, whose first p_x - 2
+    # letters repeat the previous run's block.  One walk reads the runs
+    # with str.find, up to the one whose image reaches n letters
+    block, size = [v[0]], 1  # the first run's image is its letter repeated
     pa = pb = 1
-    n = start
-    for x in letters:
+    i = 0
+    while i < len(v):
+        x = v[i]
+        j = v.find("b" if x == "a" else "a", i)
+        if j < 0:
+            j = len(v)
         if x == "a":
-            p, pb = pa, pa + pb
+            p, pb = pa, pb + (j - i) * pa
         else:
-            p, pa = pb, pa + pb
-        end = n + p
-        if p == n - start + 1:  # x has not occurred yet: the closure is w x w
-            image[n] = ord(x)
-            n += 1
-        # the new letters repeat the last p
-        if end >= stop:  # the last letter, or the one psi_prefix stops inside
-            buffer[n:stop] = buffer[n - p : stop - p]
-            return
-        buffer[n:end] = buffer[n - p : end - p]
-        n = end
+            p, pa = pb, pa + (j - i) * pb
+        if i:
+            block, size = _cycle(block, size, p - 2) + [v[i - 1 : i + 1]], p
+        if pa + pb - 2 >= n:
+            break
+        i = j
+    return _cycle(block, size, n)
 
 
 def _short_image(v: str) -> str:
-    # psi(v) on ``str``, for images of at most ``_BLOCK`` letters: the
-    # growth rule of _fill, each letter extending the image w by its new
-    # minimal period p, as concatenations
+    # psi(v) on ``str``, for images of at most ``_BLOCK`` letters: each
+    # letter extends the image w by its new minimal period p, as
+    # concatenations
     w = ""
     pa = pb = 1
     for x in v:
@@ -219,8 +242,8 @@ def psi(v: str) -> str:
     pa + pb - 2 is known next: when it exceeds ``PSI_LENGTH_BUDGET`` a
     :class:`BudgetError` is raised before anything is allocated.  An
     image of up to ``_BLOCK`` letters is then built by ``str``
-    concatenation, and a longer one written into one buffer of its final
-    size.
+    concatenation, and a longer one joined once from the pieces of its
+    periods.
 
     >>> psi("aba")
     'abaaba'
@@ -228,15 +251,13 @@ def psi(v: str) -> str:
     length = _image_length(v)
     if length <= _BLOCK:
         return _short_image(v)
-    image = bytearray(length)
-    _fill(image, v, 0, length)
-    return image.decode()
+    return "".join(_image_pieces(v, length))
 
 
 def framed_psi(v: str) -> str:
     """The Christoffel word a psi(v) b, with psi's letter and budget
     checks first: framed on ``str`` up to ``_BLOCK`` central letters,
-    past them written into one buffer and decoded once.
+    past them joined once with the pieces of psi(v).
 
     >>> framed_psi("abaa")
     'aabaabaabab'
@@ -244,10 +265,7 @@ def framed_psi(v: str) -> str:
     length = _image_length(v)
     if length <= _BLOCK:
         return "a" + _short_image(v) + "b"
-    image = bytearray(length + 2)
-    image[0], image[-1] = ord("a"), ord("b")
-    _fill(image, v, 1, length + 1)
-    return image.decode()
+    return "".join(["a", *_image_pieces(v, length), "b"])
 
 
 def psi_prefix(preperiod: str, period: str, n: int) -> str:
@@ -264,10 +282,11 @@ def psi_prefix(preperiod: str, period: str, n: int) -> str:
         raise ValueError("period word must be non-empty")
     check_word(preperiod)
     check_word(period)
-    image = bytearray(_check_budget(n))
-    if n:
-        _fill(image, chain(preperiod, cycle(period)), 0, n)
-    return image.decode()
+    _check_budget(n)
+    # past the preperiod, a period with both letters at least doubles
+    # p_a + p_b, so these periods reach n letters; a period of one letter
+    # ends in a run that the builder extends without end
+    return "".join(_image_pieces(preperiod + period * (n.bit_length() + 1), n))
 
 
 def _run_length(w: str, i: int, p: int, other: str) -> int:

@@ -520,13 +520,19 @@ def _(top: int, limit: int):
 
 @_check("fibonacci-word-prefix")
 def _(_k: int, _n: int):
-    target = psi("ab" * 6)
-    prefix = psi_prefix("", "ab", len(target))
+    # psi and psi_prefix share a builder: each meets the morphism a -> ab, b -> a
+    image = psi("ab" * 6)
+    fibonacci = "a"
+    while len(fibonacci) < len(image):
+        fibonacci = fibonacci.translate({ord("a"): "ab", ord("b"): "a"})
+    fibonacci = fibonacci[: len(image)]
+    prefix = psi_prefix("", "ab", len(image))
     return (
         "periodic directive limit",
-        (("prefix", i) for i, (x, y) in enumerate(itertools.zip_longest(prefix, target))
+        (("prefix", i) for i, (x, y) in enumerate(itertools.zip_longest(prefix, fibonacci))
          if x != y),
-        (("fibonacci", i) for i, x in enumerate("abaababaabaab") if target[i : i + 1] != x),
+        (("psi", i) for i, (x, y) in enumerate(itertools.zip_longest(image, fibonacci))
+         if x != y),
     )
 
 

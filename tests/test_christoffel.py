@@ -86,9 +86,11 @@ def test_slope_errors():
         assert type(caught.value) is error and str(caught.value) == message
 
 
-@pytest.mark.parametrize("n", [palindromes._BLOCK - 1, palindromes._BLOCK, palindromes._BLOCK + 1])
+@pytest.mark.parametrize(
+    "n", [palindromes._BLOCK - 1, palindromes._BLOCK, palindromes._BLOCK + 1, 3 * palindromes._BLOCK + 2]
+)
 def test_slope_paths_on_each_side_of_the_block(n):
-    # words of up to _BLOCK letters descend on str, longer ones in a buffer;
+    # words of up to _BLOCK letters descend on str, longer ones on pieces;
     # one run each way (1/(n - 1), (n - 1)/1), golden and near-even slopes
     ps = [1, n - 1, coprime_from(2, n), coprime_from(n * 382 // 1000, n)]
     ps += [coprime_from(n // 2 - 7, n), coprime_from(n * 9 // 10, n)]
@@ -99,11 +101,33 @@ def test_slope_paths_on_each_side_of_the_block(n):
 
 
 def test_slope_paths_agree_below_the_block(monkeypatch):
-    # with the threshold lowered, short words take the buffer path too
+    # with the threshold lowered, short words descend on pieces too
     slopes = [(p, n - p) for n in range(2, 101) for p in range(1, n) if gcd(p, n) == 1]
     on_str = [christoffel_by_slope(p, q) for p, q in slopes]
     monkeypatch.setattr(palindromes, "_BLOCK", 8)
     assert [christoffel_by_slope(p, q) for p, q in slopes] == on_str
+
+
+def test_routes_agree_past_a_million_letters():
+    # golden, one long run each way, runs of 1 to 40, near-even
+    n = 2**20 + 1
+    for p in (coprime_from(n * 382 // 1000, n), 1, n - 1, 40_000, coprime_from(n // 2 - 7, n)):
+        cw = christoffel_by_slope(p, n - p)
+        assert cw == christoffel_by_directive(cw.directive)
+        assert (cw.word.count("b"), cw.word.count("a")) == (p, n - p)
+
+
+def test_long_slope_word_stays_near_one_copy():
+    # the descent joins its word once: with small quotients the directive
+    # is short, so the word is the only allocation of its size
+    n = 832_040 + 1_346_269
+    tracemalloc.start()
+    try:
+        assert len(christoffel_by_slope(832_040, 1_346_269).word) == n
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n
 
 
 def test_both_routes_read_the_one_psi_budget(monkeypatch):
@@ -170,6 +194,8 @@ def test_descent_is_independent_of_the_directive_routes(monkeypatch):
         (palindromes, "psi"),
         (palindromes, "framed_psi"),
         (palindromes, "period_pair"),
+        (palindromes, "_image_pieces"),
+        (palindromes, "_cycle"),
         (christoffel, "framed_psi"),
         (continuants, "cf_terms"),
         (trees, "stern_brocot"),

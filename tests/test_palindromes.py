@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -338,14 +339,16 @@ def directive_by_subtraction(p, q):
 @pytest.mark.parametrize("n", [palindromes._BLOCK - 1, palindromes._BLOCK, palindromes._BLOCK + 1])
 def test_image_paths_on_each_side_of_the_block(n):
     # images of up to _BLOCK letters are built on str and read one slice
-    # per run, longer ones in a buffer and in growing slices; a golden
-    # slope, and a near-even one whose directive has a run of thousands
+    # per run, longer ones joined from pieces and read in growing slices;
+    # a golden slope, and a near-even one whose directive has a run of
+    # thousands
     for p in (coprime_from(n * 382 // 1000, n + 2), coprime_from(n // 2 - 7, n + 2)):
         framed = letterwise_christoffel(p, n + 2 - p)
         v = directive_by_subtraction(p, n + 2 - p)
         w = framed[1:-1]
         assert len(w) == n
         assert psi(v) == w and palindromes.framed_psi(v) == framed
+        assert psi_prefix(v, "ab", n) == w
         assert psi_inverse(w) == v
         i = len(w) // 2 + 3
         assert psi_inverse(w[:i] + complement(w[i]) + w[i + 1 :]) is None
@@ -353,14 +356,78 @@ def test_image_paths_on_each_side_of_the_block(n):
 
 
 def test_image_paths_agree_below_the_block(monkeypatch):
-    # with the threshold lowered, short images take the buffer path too
+    # with the threshold lowered, short images are joined from pieces too,
+    # psi_prefix of v[:3] . v[3:] . v[3:] ... ending where psi(v) does
     directives = list(words_up_to(12))
     images = [psi(v) for v in directives]
     framed = [palindromes.framed_psi(v) for v in directives]
     monkeypatch.setattr(palindromes, "_BLOCK", 8)
     assert [psi(v) for v in directives] == images
     assert [palindromes.framed_psi(v) for v in directives] == framed
+    assert [psi_prefix(v[:3], v[3:] or "b", len(w)) for v, w in zip(directives, images)] == images
     assert [psi_inverse(w) for w in images] == directives
+
+
+def slope_of(v):
+    """The slope p/q of the Christoffel word a psi(v) b, by running
+    directive_by_subtraction backwards from 1/1."""
+    p = q = 1
+    for x in reversed(v):
+        if x == "a":
+            q += p
+        else:
+            p += q
+    return p, q
+
+
+BLOCK = palindromes._BLOCK
+LONG_DIRECTIVES = [
+    "a" * (3 * BLOCK),  # one run of either letter
+    "b" * (3 * BLOCK),
+    # a last run whose period is just under and just over _BLOCK letters
+    "a" * (BLOCK - 2) + "bbb",
+    "a" * BLOCK + "bbb",
+    "b" * (BLOCK - 2) + "aaa",
+    "b" * BLOCK + "aaa",
+    "ab" * 13,  # alternation, 514,227 letters
+    "ba" * 12,
+    "aab" + "ab" * 7 + "b" * 40,  # alternation between long runs
+    "b" * 500 + "ab" * 2 + "a" * 30,
+]
+
+
+@pytest.mark.parametrize("v", LONG_DIRECTIVES, ids=lambda v: f"{v[:8]}..{v[-4:]}:{len(v)}")
+def test_long_images_match_the_letterwise_christoffel_word(v):
+    # past _BLOCK letters images are joined from the pieces of their
+    # periods; the oracle reads the Christoffel word off i * p mod (p + q)
+    framed = letterwise_christoffel(*slope_of(v))
+    w = framed[1:-1]
+    assert len(w) > BLOCK
+    assert psi(v) == w and palindromes.framed_psi(v) == framed
+    assert psi_inverse(w) == v
+    # prefixes of psi(v v[k:] v[k:] ...), ending inside the last period,
+    # on the image's last letter, and just past _BLOCK letters
+    k = len(v) // 2
+    for n in (len(w), len(w) - 1, len(w) // 2 + 7, BLOCK + 1):
+        assert psi_prefix(v[:k], v[k:], n) == w[:n]
+
+
+def test_long_images_stay_near_one_copy():
+    # the joined image is the only allocation of its size; a second copy,
+    # such as a buffer decoded into the str, would read 2.0 N
+    cases = [
+        (lambda: psi("ab" * 14), 1_346_267),
+        (lambda: palindromes.framed_psi("ab" * 14), 1_346_269),
+        (lambda: psi_prefix("", "ab", 2**20), 2**20),
+    ]
+    for build, n in cases:
+        tracemalloc.start()
+        try:
+            assert len(build()) == n
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n
 
 
 def test_psi_inverse_rejects_on_the_long_word_path(monkeypatch):

@@ -219,6 +219,9 @@ PLANTED = {
     "fibonacci-word-prefix": (
         (0, 0), "psi_prefix", "",
         lambda w: w[:100] + w[100].translate(SWAP_LETTERS) + w[101:], "('prefix', 100)"),
+    "fibonacci-word-prefix:psi": (
+        (0, 0), "psi", "ab" * 6,
+        lambda w: w[:100] + w[100].translate(SWAP_LETTERS) + w[101:], "('psi', 100)"),
 }
 
 
