@@ -39,10 +39,10 @@ complement half alone.
 integer each, one lane of ``_LANE`` bytes per entry, so the lengths of
 a whole row are the lanes of one integer product, the row ends included,
 and only counting them costs a Python step each.  No lane carries while
-F(k+1), the longest order-k length, fits one; one refusal covers that
-lane bound and ``MAX_ENUMERATED_ORDER``.  The same bound sizes one dense
-tally, a list indexed by length, which each row's lanes update through
-a ``memoryview``.
+F(k+1), the longest order-k length, fits one, which holds for every
+order up to ``MAX_ENUMERATED_ORDER``, the one bound ``histogram``
+refuses past.  F(k+1) sizes one dense tally, a list indexed by length,
+which each row's lanes update through a ``memoryview``.
 
 A ``LengthHistogram`` is the one record of an order: that tally, whose
 entry n is C_k(n), and the figures read from it, its mass, the nonzero
@@ -74,9 +74,6 @@ MAX_ENUMERATED_ORDER = 26
 #: int, 4 bytes on common platforms, which holds F(27) = 514229, the
 #: longest length of order 26; 2 bytes would carry from order 22 on.
 _LANE = array("I").itemsize
-
-#: The largest order whose lengths, at most F(k+1), fit in one lane.
-_LANE_ORDER = next(k for k in count() if fib(k + 2) >> (8 * _LANE))
 
 
 class LengthHistogram(NamedTuple):
@@ -164,8 +161,8 @@ def histogram(k: int) -> LengthHistogram:
     count two.  The lengths of a row, its ends included, are the lanes
     [lo, n - lo) of one integer product pa * X + pb * Y, where X and Y
     pack the level's a-periods and b-periods one ``_LANE``-byte lane per
-    entry.  An order past ``MAX_ENUMERATED_ORDER`` or ``_LANE_ORDER``,
-    whose longest words would carry into the next lane, raises
+    entry; a lane holds F(k+1) for every order up to
+    ``MAX_ENUMERATED_ORDER``, and an order past it raises
     :class:`BudgetError` up front.  The lanes are read as C unsigned ints
     into the tally, a list of F(k+1) + 1 entries: 4 for each lane of a
     row, 2 off again for each of the s end lanes at either end.
@@ -175,9 +172,10 @@ def histogram(k: int) -> LengthHistogram:
     """
     if k < 0:
         raise ValueError("order must be non-negative")
-    bound = min(MAX_ENUMERATED_ORDER, _LANE_ORDER)
-    if k > bound:
-        raise BudgetError(f"order k enumerates 2^k directives; k exceeds the bound of {bound}")
+    if k > MAX_ENUMERATED_ORDER:
+        raise BudgetError(
+            f"order k enumerates 2^k directives; k exceeds the bound of {MAX_ENUMERATED_ORDER}"
+        )
     if k < 2:
         return LengthHistogram(k, [0] * (k + 2) + [2**k])
     xs, ys = _descendants(k - k // 2)

@@ -1,3 +1,5 @@
+import random
+import time
 import tracemalloc
 from math import gcd
 
@@ -111,10 +113,25 @@ def test_slope_paths_agree_below_the_block(monkeypatch):
 def test_routes_agree_past_a_million_letters():
     # golden, one long run each way, runs of 1 to 40, near-even
     n = 2**20 + 1
-    for p in (coprime_from(n * 382 // 1000, n), 1, n - 1, 40_000, coprime_from(n // 2 - 7, n)):
+    slopes = [
+        (p, n)
+        for p in (coprime_from(n * 382 // 1000, n), 1, n - 1, 40_000, coprime_from(n // 2 - 7, n))
+    ]
+    # seeded words of 2^22 to 2^25 letters, whose images and slope words are
+    # joined from pieces over many levels; every fourth has long runs, a
+    # b-count under 4,096
+    rng = random.Random(39)
+    for i in range(20):
+        n = rng.randrange(2**22, 2**25)
+        p = rng.randrange(64, 4096) if i % 4 == 0 else rng.randrange(1, n)
+        slopes.append((coprime_from(p, n), n))
+    start = time.perf_counter()
+    for p, n in slopes:
         cw = christoffel_by_slope(p, n - p)
-        assert cw == christoffel_by_directive(cw.directive)
-        assert (cw.word.count("b"), cw.word.count("a")) == (p, n - p)
+        assert cw == christoffel_by_directive(cw.directive), (p, n)
+        assert (cw.word.count("b"), cw.word.count("a")) == (p, n - p), (p, n)
+        assert psi_inverse(psi(cw.directive)) == cw.directive, (p, n)
+    assert time.perf_counter() - start < 60
 
 
 def test_long_slope_word_stays_near_one_copy():
@@ -171,6 +188,17 @@ def test_descent_on_golden_and_extreme_slopes(p, q):
     cw = christoffel_by_slope(p, q)
     assert cw.word == letterwise_christoffel(p, q)
     assert cw.directive is not None and len(cw.word) == p + q
+
+
+def test_golden_word_read_back_and_rejected_after_one_swap():
+    # the swapped word keeps its letter counts; psi_inverse's period
+    # compare rejects it
+    start = time.perf_counter()
+    cw = christoffel_by_slope(3524578, 5702887)
+    assert christoffel_of_word(cw.word) == cw == christoffel_by_directive(cw.directive)
+    i = cw.word.index("ab", len(cw.word) // 2)
+    assert christoffel_of_word(cw.word[:i] + "ba" + cw.word[i + 2 :]) is None
+    assert time.perf_counter() - start < 10
 
 
 def test_descent_spells_the_directive_of_its_word():

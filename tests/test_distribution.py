@@ -123,8 +123,9 @@ def test_histogram_masses():
 
 
 def test_histogram_budget(monkeypatch):
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError) as refused:
         histogram(30)
+    assert str(refused.value) == "order k enumerates 2^k directives; k exceeds the bound of 26"
     monkeypatch.setattr(distribution, "MAX_ENUMERATED_ORDER", 4)
     with pytest.raises(BudgetError):
         histogram(5)
@@ -136,17 +137,6 @@ def test_histogram_lanes_hold_every_enumerated_length():
     # histogram packs one length per lane; the longest word of the largest
     # order must fit, or the lanes would carry into each other
     assert fib(distribution.MAX_ENUMERATED_ORDER + 1) < 2 ** (8 * distribution._LANE)
-
-
-def test_histogram_refuses_orders_past_the_lane(monkeypatch):
-    monkeypatch.setattr(distribution, "MAX_ENUMERATED_ORDER", 100)
-    bound = distribution._LANE_ORDER  # 44 with 4-byte lanes
-    start = time.perf_counter()
-    with pytest.raises(BudgetError) as refused:
-        histogram(50)
-    assert time.perf_counter() - start < 0.1
-    # the one refusal, naming the smaller bound
-    assert str(refused.value) == f"order k enumerates 2^k directives; k exceeds the bound of {bound}"
 
 
 def test_missing_count_counts_the_missing_list():
@@ -267,6 +257,14 @@ def test_counts_for_length_matches_full_residue_loop():
 
 def test_counts_for_length_example():
     assert sum(counts_for_length(11).values()) == 10 == totient(11)
+    # past the test range: six prime factors, a prime and 2^20; each
+    # length's order counts sum to phi(n), by increasing order
+    start = time.perf_counter()
+    for n in (30030, 65537, 2**20):
+        counts = counts_for_length(n)
+        assert sum(counts.values()) == totient(n), n
+        assert list(counts) == sorted(counts), n
+    assert time.perf_counter() - start < 20
 
 
 def test_counts_for_length_sieves_without_totient(monkeypatch):

@@ -124,15 +124,19 @@ def test_pal_closure_any_letters(w):
 
 
 def test_pal_closure_long_inputs():
-    k = 50_000
-    rng = random.Random(5)
-    random_word = "".join(rng.choice("ab") for _ in range(2 * k))
-    cut = len(random_word) - longest_palindromic_suffix(random_word)
-    cases = [
-        ("a" * k + "b" + "a" * (k + 1), "a" * k + "b" + "a" * (k + 1) + "b" + "a" * k),
-        ("ab" * k + "b", "ab" * k + "b" + "a" + "ba" * (k - 1)),
-        (random_word, random_word + random_word[:cut][::-1]),
-    ]
+    # words of 10^5 and 10^6 letters: a seeded random word closes by string
+    # search; a^k b a^(k+1) has too many false starts and takes the
+    # Knuth-Morris-Pratt loop
+    cases = []
+    for k, seed in ((50_000, 5), (500_000, 19)):
+        rng = random.Random(seed)
+        random_word = "".join(rng.choice("ab") for _ in range(2 * k))
+        cut = len(random_word) - longest_palindromic_suffix(random_word)
+        cases += [
+            ("a" * k + "b" + "a" * (k + 1), "a" * k + "b" + "a" * (k + 1) + "b" + "a" * k),
+            ("ab" * k + "b", "ab" * k + "b" + "a" + "ba" * (k - 1)),
+            (random_word, random_word + random_word[:cut][::-1]),
+        ]
     for w, closed in cases:
         start = time.perf_counter()
         assert pal_closure(w) == closed

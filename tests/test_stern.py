@@ -102,6 +102,12 @@ def test_byte_steps_on_long_arguments():
     for _ in range(50):
         n = rng.getrandbits(rng.randrange(1, 14001))
         assert stern(n) == letterwise_stern(n)
+    # the argv limit of 4,300 digits and a full 14,000-bit n, through the
+    # upper block levels of the zeta route as well
+    start = time.perf_counter()
+    for n in (10**4300 - 1, random.Random(38).getrandbits(14000) | 1 << 13999):
+        assert stern(n) == letterwise_stern(n) == stern_via_zeta(n), n.bit_length()
+    assert time.perf_counter() - start < 20
 
 
 @given(st.integers(min_value=0, max_value=2**1100))
